@@ -84,8 +84,8 @@ def bench_claim_overhead(session, rounds, tmp):
 
     local = {}
     queue = JobQueue(os.path.join(tmp, "local-jobs.db"))
-    ids, claimed = [], []
-    local["submit_ms"] = _sample(rounds, lambda i: ids.append(
+    submitted, claimed = [], []
+    local["submit_ms"] = _sample(rounds, lambda i: submitted.append(
         queue.submit("study", spec)))
     local["claim_ms"] = _sample(rounds, lambda i: claimed.append(
         queue.claim("bench-local")))
@@ -102,8 +102,8 @@ def bench_claim_overhead(session, rounds, tmp):
                            job_workers=0)
     with ServerThread(config, session=session) as server:
         with RemoteJobQueue("http://127.0.0.1:%d" % server.port) as rq:
-            ids, claimed = [], []
-            remote["submit_ms"] = _sample(rounds, lambda i: ids.append(
+            submitted, claimed = [], []
+            remote["submit_ms"] = _sample(rounds, lambda i: submitted.append(
                 rq.submit("study", spec)))
             remote["claim_ms"] = _sample(rounds, lambda i: claimed.append(
                 rq.claim("bench-remote")))

@@ -69,8 +69,8 @@ def _micro_latencies(db_path):
         timings[name] = ((time.perf_counter() - start)
                          / MICRO_ROUNDS * 1e3)
 
-    job_ids = []
-    sample("submit_ms", lambda i: job_ids.append(
+    submitted = []
+    sample("submit_ms", lambda i: submitted.append(
         queue.submit("study", {"capacities": [128]})))
     claimed = []
     sample("claim_ms", lambda i: claimed.append(queue.claim("bench-w")))

@@ -6,15 +6,13 @@ parallel study runner, then writes both a human-readable report and the
 machine-readable ``BENCH_search.json`` baseline (repo root) so future
 PRs can track the search-performance trajectory:
 
-* ``single.*`` — one 16KB/HVT/M2 exhaustive search per engine, the
-  configuration the acceptance gate tracks;
-* ``pruning.*`` — the bound-and-prune engine against the fused engine
-  on every study cell: wall time plus the fraction of the space it
-  actually evaluated;
-* ``matrix.*`` — the full 20-cell study, serial and parallel;
-* ``arena.*`` — shared-memory session transport: publish once, attach
-  zero-copy, versus the warm-cache ``Session.create`` a process worker
-  would otherwise pay.
+* ``single.*`` — one 16KB/HVT/M2 exhaustive search per engine (the
+  ``loop`` oracle, ``vectorized`` and ``pruned``), the configuration
+  ``check_search_regression.py`` gates;
+* ``pruning.*`` — the bound-and-prune engine against the vectorized
+  engine on every study cell: wall time plus the fraction of the space
+  it actually evaluated;
+* ``matrix.*`` — the full 20-cell study, serial and parallel.
 """
 
 from __future__ import annotations
@@ -28,87 +26,23 @@ from repro.analysis.experiments import (
     CAPACITIES_BYTES,
     FLAVORS,
     METHODS,
-    Session,
 )
 from repro.analysis.runner import run_study
 from repro.opt import DesignSpace, ExhaustiveOptimizer, make_policy
-from repro.shm import SessionArena
 from repro.units import capacity_label
+
+from check_search_regression import (
+    best_times,
+    gate_optimizer,
+    search_call,
+    yield_optimizer,
+)
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 BASELINE_PATH = os.path.join(_HERE, "..", "BENCH_search.json")
 
 #: Workers to request for the parallel leg (bounded by the host).
 REQUESTED_WORKERS = 4
-
-
-def _time_engine(paper_session, engine, repeats=9):
-    """Best-of-N wall time of one 16KB/HVT/M2 exhaustive search [s]."""
-    optimizer = ExhaustiveOptimizer(
-        paper_session.model("hvt"), DesignSpace(),
-        paper_session.constraint("hvt"),
-    )
-    policy = make_policy("M2", paper_session.yield_levels("hvt"))
-    optimizer.optimize(16384 * 8, policy, engine=engine)  # warm-up
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        optimizer.optimize(16384 * 8, policy, engine=engine)
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def _time_many(paper_session, repeats=9):
-    """Best-of-N wall time of the policy-batched 16KB/HVT search [s]:
-    every method's whole space in one ``optimize_many`` dispatch.
-    Returns ``(seconds, n_policies, results)``."""
-    from repro.analysis.experiments import METHODS
-
-    optimizer = ExhaustiveOptimizer(
-        paper_session.model("hvt"), DesignSpace(),
-        paper_session.constraint("hvt"),
-    )
-    levels = paper_session.yield_levels("hvt")
-    policies = [make_policy(method, levels) for method in METHODS]
-    results = optimizer.optimize_many(16384 * 8, policies)  # warm-up
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        optimizer.optimize_many(16384 * 8, policies)
-        best = min(best, time.perf_counter() - start)
-    return best, len(policies), results
-
-
-def _time_yield_constraint(paper_session, repeats=9):
-    """Best-of-N wall time of the 16KB/HVT/M2 search under the
-    ECC-relaxed yield-target constraint (SECDED at Y >= 0.9) [s].
-
-    The warm-up call pays the Monte Carlo margin statistics once, so
-    the timed repeats measure the constraint's steady-state search
-    cost (memoized sigma lookups) against the plain pruned engine."""
-    from repro.opt.constraints import YieldTargetConstraint
-
-    base = paper_session.constraint("hvt")
-    constraint = YieldTargetConstraint(
-        library=paper_session.library, flavor="hvt",
-        delta=paper_session.delta, y_target=0.9, code="secded",
-        capacity_bits=16384 * 8,
-        word_bits=paper_session.config.word_bits,
-        trust_fixed_rails=base.trust_fixed_rails,
-        flip_lookup=base.flip_lookup,
-    )
-    constraint.seed_margin_memo(base.export_margin_memo())
-    optimizer = ExhaustiveOptimizer(
-        paper_session.model("hvt"), DesignSpace(), constraint,
-    )
-    policy = make_policy("M2", paper_session.yield_levels("hvt"))
-    optimizer.optimize(16384 * 8, policy, engine="pruned")  # warm-up
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        optimizer.optimize(16384 * 8, policy, engine="pruned")
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def _time_cell(paper_session, flavor, method, capacity_bytes, engine,
@@ -130,71 +64,49 @@ def _time_cell(paper_session, flavor, method, capacity_bytes, engine,
 
 
 def _bench_pruning(paper_session):
-    """Pruned vs fused over every study cell: time, rate, correctness."""
+    """Pruned vs vectorized over every study cell: time, rate,
+    correctness."""
     cells = {}
     for flavor in FLAVORS:
         for method in METHODS:
             for capacity in CAPACITIES_BYTES:
-                fused_s, fused = _time_cell(paper_session, flavor,
-                                            method, capacity, "fused")
+                vec_s, vec = _time_cell(paper_session, flavor, method,
+                                        capacity, "vectorized")
                 pruned_s, pruned = _time_cell(paper_session, flavor,
                                               method, capacity, "pruned")
                 # The prune must never change the answer.
-                assert pruned.design == fused.design
-                assert pruned.metrics.edp == fused.metrics.edp
+                assert pruned.design == vec.design
+                assert pruned.metrics.edp == vec.metrics.edp
                 label = "%s/%s/%s" % (
                     capacity_label(capacity), flavor.upper(), method)
                 cells[label] = {
                     "capacity_bytes": capacity,
-                    "fused_ms": round(fused_s * 1e3, 3),
+                    "vectorized_ms": round(vec_s * 1e3, 3),
                     "pruned_ms": round(pruned_s * 1e3, 3),
                     "evaluated_fraction": round(
-                        pruned.n_evaluated / fused.n_evaluated, 4),
+                        pruned.n_evaluated / vec.n_evaluated, 4),
                 }
     return cells
-
-
-def _time_arena(paper_session, repeats=5):
-    """Publish/attach/rebuild wall times for the session arena [s]."""
-    publish = attach = float("inf")
-    nbytes = 0
-    for _ in range(repeats):
-        start = time.perf_counter()
-        arena = SessionArena.publish(paper_session)
-        publish = min(publish, time.perf_counter() - start)
-        nbytes = arena.nbytes
-        try:
-            start = time.perf_counter()
-            attached = SessionArena.attach(arena.name)
-            attached.to_session()
-            attach = min(attach, time.perf_counter() - start)
-            attached.close()
-        finally:
-            arena.dispose()
-    # The alternative a process worker pays without the arena: rebuild
-    # the session from the (warm) on-disk characterization cache.
-    create = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        Session.create(cache_path=paper_session.cache.path,
-                       voltage_mode=paper_session.voltage_mode)
-        create = min(create, time.perf_counter() - start)
-    return publish, attach, create, nbytes
 
 
 def bench_parallel_study_matrix(paper_session, report_writer):
     cpus = os.cpu_count() or 1
     workers = min(REQUESTED_WORKERS, max(cpus, 1))
 
-    single_loop = _time_engine(paper_session, "loop")
-    single_vec = _time_engine(paper_session, "vectorized")
-    single_fused = _time_engine(paper_session, "fused")
-    single_pruned = _time_engine(paper_session, "pruned")
-    single_yield = _time_yield_constraint(paper_session)
-    fused_many, many_policies, many_results = _time_many(paper_session)
+    # The gate cell, timed exactly as check_search_regression.py
+    # re-times it (round-robin best-of, the yield leg's Monte Carlo
+    # statistics paid in the warm-up).
+    optimizer, policy = gate_optimizer(paper_session)
+    single = best_times({
+        "loop": search_call(optimizer, policy, "loop"),
+        "vectorized": search_call(optimizer, policy, "vectorized"),
+        "pruned": search_call(optimizer, policy, "pruned"),
+        "yield": search_call(yield_optimizer(paper_session, "secded"),
+                             policy, "pruned"),
+    })
+    single_loop, single_vec = single["loop"], single["vectorized"]
+    single_pruned, single_yield = single["pruned"], single["yield"]
     pruning_cells = _bench_pruning(paper_session)
-    arena_publish, arena_attach, warm_create, arena_nbytes = (
-        _time_arena(paper_session))
 
     serial = run_study(session=paper_session, workers=1)
     parallel = run_study(session=paper_session, workers=workers,
@@ -211,24 +123,14 @@ def bench_parallel_study_matrix(paper_session, report_writer):
         },
         "single": {
             "config": "16KB/hvt/M2",
+            # The oracle's time is the gate's machine factor.
             "loop_seconds": single_loop,
             "vectorized_seconds": single_vec,
-            "fused_seconds": single_fused,
             "vectorization_speedup": single_loop / single_vec,
-            # Both engines are compute-bound on identical arithmetic, so
-            # this hovers near 1.0 on one core; the fused engine's win
-            # is the single-dispatch call shape, not raw arithmetic.
-            "fused_vs_vectorized": single_vec / single_fused,
-            # All policies of the cell in ONE dispatch, recorded next
-            # to the per-policy fused baseline it amortizes.
-            "fused_many_seconds": fused_many,
-            "fused_many_policies": many_policies,
-            "fused_many_vs_per_policy_fused":
-                (many_policies * single_fused) / fused_many,
             # Bound-and-prune on the gate cell: the answer is identical,
             # only a fraction of the space gets scored.
             "pruned_seconds": single_pruned,
-            "pruned_vs_fused": single_fused / single_pruned,
+            "pruned_vs_vectorized": single_vec / single_pruned,
             # The same pruned search under the ECC-relaxed yield-target
             # constraint, Monte Carlo statistics warm: the steady-state
             # price of yield-aware feasibility.
@@ -237,20 +139,13 @@ def bench_parallel_study_matrix(paper_session, report_writer):
         },
         "pruning": {
             "cells": pruning_cells,
-            "total_fused_seconds": sum(
-                c["fused_ms"] for c in pruning_cells.values()) / 1e3,
+            "total_vectorized_seconds": sum(
+                c["vectorized_ms"] for c in pruning_cells.values()) / 1e3,
             "total_pruned_seconds": sum(
                 c["pruned_ms"] for c in pruning_cells.values()) / 1e3,
             "min_evaluated_fraction_16kb": min(
                 c["evaluated_fraction"] for c in pruning_cells.values()
                 if c["capacity_bytes"] == 16384),
-        },
-        "arena": {
-            "nbytes": arena_nbytes,
-            "publish_seconds": arena_publish,
-            "attach_seconds": arena_attach,
-            "warm_create_seconds": warm_create,
-            "attach_speedup_vs_create": warm_create / arena_attach,
         },
         "matrix": {
             "tasks": len(serial.timings),
@@ -272,27 +167,17 @@ def bench_parallel_study_matrix(paper_session, report_writer):
     lines = [
         "Search-performance baseline (written to BENCH_search.json)",
         "single 16KB/HVT/M2: loop %.1f ms, vectorized %.1f ms (%.1fx), "
-        "fused %.1f ms (%.2fx vs vectorized)"
+        "pruned %.1f ms (%.2fx vs vectorized)"
         % (single_loop * 1e3, single_vec * 1e3, single_loop / single_vec,
-           single_fused * 1e3, single_vec / single_fused),
-        "policy-batched 16KB/HVT (%d policies, one dispatch): %.1f ms "
-        "(%.2fx vs %d per-policy fused searches)"
-        % (many_policies, fused_many * 1e3,
-           (many_policies * single_fused) / fused_many, many_policies),
-        "bound-and-prune 16KB/HVT/M2: %.1f ms (%.2fx vs fused); "
-        "matrix totals: fused %.1f ms, pruned %.1f ms, min 16KB "
-        "evaluated fraction %.2f"
-        % (single_pruned * 1e3, single_fused / single_pruned,
-           baseline["pruning"]["total_fused_seconds"] * 1e3,
+           single_pruned * 1e3, single_vec / single_pruned),
+        "pruning matrix totals: vectorized %.1f ms, pruned %.1f ms, "
+        "min 16KB evaluated fraction %.2f"
+        % (baseline["pruning"]["total_vectorized_seconds"] * 1e3,
            baseline["pruning"]["total_pruned_seconds"] * 1e3,
            baseline["pruning"]["min_evaluated_fraction_16kb"]),
         "yield-target constraint 16KB/HVT/M2 (SECDED, warm MC): "
         "%.1f ms (%.2fx vs plain pruned)"
         % (single_yield * 1e3, single_yield / single_pruned),
-        "session arena (%.1f KB): publish %.2f ms, attach+rebuild "
-        "%.2f ms vs warm Session.create %.1f ms (%.0fx)"
-        % (arena_nbytes / 1024.0, arena_publish * 1e3, arena_attach * 1e3,
-           warm_create * 1e3, warm_create / arena_attach),
         "full matrix (%d tasks): serial %.2f s, parallel %.2f s "
         "(%d workers, %.2fx)"
         % (len(serial.timings), serial.total_seconds,
@@ -309,30 +194,15 @@ def bench_parallel_study_matrix(paper_session, report_writer):
     # The vectorized engine carries the acceptance gate everywhere; the
     # parallel-speedup gate only exists where parallel hardware does.
     assert single_loop / single_vec >= 3.0
-    # The fused engine must never cost meaningfully more than the
-    # vectorized one it subsumes (both are bound by the same arithmetic).
-    assert single_fused <= single_vec * 1.5
-    # One policy-batched dispatch must stay cheaper than paying the
-    # per-policy fused search once per policy, and its per-policy
-    # results must match the study's per-task answers exactly.
-    assert fused_many <= many_policies * single_fused * 1.25
-    for result in many_results:
-        key = (16384, "hvt", result.method)
-        assert result.design == serial.sweep.results[key].design
-        assert result.metrics.edp == serial.sweep.results[key].metrics.edp
     # Pruning gates: on at least one 16KB cell the pruned engine must
     # skip >= half the space, and it must win wall-clock over the whole
     # matrix.  Per cell a loose 2x bound catches pathological slowdowns
     # while tolerating the few high-survivor cells where the chunked
-    # tile dispatch pays more call overhead than one fused shot.
+    # tile dispatch pays more call overhead than the per-row sweep.
     assert baseline["pruning"]["min_evaluated_fraction_16kb"] <= 0.5
     for label, cell in pruning_cells.items():
-        assert cell["pruned_ms"] <= cell["fused_ms"] * 2.0, label
+        assert cell["pruned_ms"] <= cell["vectorized_ms"] * 2.0, label
     assert (baseline["pruning"]["total_pruned_seconds"]
-            <= baseline["pruning"]["total_fused_seconds"])
-    # Attaching the arena must at least keep pace with rebuilding from
-    # the on-disk cache (its real win is deduplicating the LUT memory
-    # across workers, so a small timing margin is enough here).
-    assert arena_attach < warm_create * 1.25
+            <= baseline["pruning"]["total_vectorized_seconds"])
     if cpus >= 2 and parallel.workers >= 2:
         assert speedup > 1.5

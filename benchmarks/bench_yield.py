@@ -206,7 +206,7 @@ def main(argv=None):
     parser.add_argument("--code", default="secded")
     parser.add_argument("--y-target", type=float, default=0.9)
     parser.add_argument("--engine", default="pruned",
-                        choices=("pruned", "fused", "vectorized", "loop"))
+                        choices=("pruned", "vectorized", "loop"))
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--sampler", default="gaussian",
                         choices=("gaussian", "naive", "antithetic",

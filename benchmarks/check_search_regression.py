@@ -1,4 +1,4 @@
-"""CI gate: fail when the fused search engine regresses against the
+"""CI gate: fail when a production search engine regresses against the
 committed ``BENCH_search.json`` baseline.
 
 Usage::
@@ -6,24 +6,24 @@ Usage::
     PYTHONPATH=src python benchmarks/check_search_regression.py
 
 The gate re-times the baseline's tracked configuration (one 16KB/HVT/M2
-exhaustive search) on the current machine, then normalizes the measured
-fused time by the vectorized engine's machine factor — the ratio of
-the vectorized time measured *now* to the vectorized time recorded in
-the baseline.  Because both engines execute the same arithmetic, that
-factor cancels out hardware differences between the committed baseline
-and the CI runner, leaving only genuine code regressions.
+exhaustive search) on the current machine for the ``vectorized`` and
+``pruned`` engines, then normalizes each measured time by the machine
+factor — the ratio of the ``loop`` oracle's time measured *now* to the
+loop time recorded in the baseline.  The oracle's code is the fixed
+reference every engine is checked against, so that factor cancels out
+hardware differences between the committed baseline and the CI runner,
+leaving only genuine code regressions.
 
-The policy-batched (``optimize_many``), bound-and-prune (``pruned``)
-and yield-target-constraint paths ride the same machine factor as
-extra legs; the pruned leg also re-checks that pruning leaves the
-16KB/HVT/M2 argmin bit-identical to the fused engine's before timing
-it, and the yield leg re-checks that a non-correcting code reproduces
-the fixed-delta argmin exactly.  Legs whose baseline fields are
-missing (older baselines) skip gracefully.
+Before timing, the pruned engine's 16KB/HVT/M2 argmin must equal the
+loop oracle's bit for bit — a wrong prune is a correctness bug, not a
+perf regression.  The yield-target-constraint leg rides the same
+machine factor and re-checks that a non-correcting code reproduces the
+fixed-delta argmin exactly.  Legs whose baseline fields are missing
+(older baselines) skip gracefully.
 
-Exit codes: 0 = pass (or graceful skip), 1 = fused regression beyond
-the threshold.  Skips cleanly when the baseline is missing or predates
-the fused engine (no ``single.fused_seconds`` field).
+Exit codes: 0 = pass (or graceful skip), 1 = a regression beyond the
+threshold or an argmin divergence.  Skips cleanly when the baseline is
+missing or has no ``single.loop_seconds`` field.
 """
 
 from __future__ import annotations
@@ -33,11 +33,14 @@ import os
 import sys
 import time
 
-#: Fail the gate when the normalized fused time regresses beyond this.
+#: Fail the gate when a normalized engine time regresses beyond this.
 THRESHOLD = 0.25
 
-#: Repetitions per engine; best-of keeps scheduler noise out.
-REPEATS = 5
+#: Timed repetitions per leg; best-of keeps scheduler noise out.
+REPEATS = 9
+
+#: The production engines the gate times (``<engine>_seconds`` fields).
+GATED_ENGINES = ("vectorized", "pruned")
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 BASELINE_PATH = os.path.join(_HERE, "..", "BENCH_search.json")
@@ -49,39 +52,65 @@ def _skip(message):
     return 0
 
 
-def _time_engine(session, engine):
+def gate_optimizer(session, constraint=None):
     from repro.opt import DesignSpace, ExhaustiveOptimizer, make_policy
 
     optimizer = ExhaustiveOptimizer(
-        session.model("hvt"), DesignSpace(), session.constraint("hvt")
+        session.model("hvt"), DesignSpace(),
+        constraint or session.constraint("hvt"),
     )
-    policy = make_policy("M2", session.yield_levels("hvt"))
-    optimizer.optimize(16384 * 8, policy, engine=engine)  # warm-up
-    best = float("inf")
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        optimizer.optimize(16384 * 8, policy, engine=engine)
-        best = min(best, time.perf_counter() - start)
+    return optimizer, make_policy("M2", session.yield_levels("hvt"))
+
+
+def best_times(calls, repeats=REPEATS):
+    """Best-of-``repeats`` wall time [s] of each zero-argument callable.
+
+    Every callable runs once untimed (warm-up), then the timed repeats
+    go round-robin over the legs, so a load shift on a shared machine
+    hits the oracle and the gated engines alike.
+    """
+    for call in calls.values():
+        call()
+    best = dict.fromkeys(calls, float("inf"))
+    for _ in range(repeats):
+        for name, call in calls.items():
+            start = time.perf_counter()
+            call()
+            best[name] = min(best[name], time.perf_counter() - start)
     return best
 
 
-def _time_many(session):
-    """Best-of wall time of the policy-batched 16KB/HVT dispatch [s]."""
-    from repro.analysis.experiments import METHODS
-    from repro.opt import DesignSpace, ExhaustiveOptimizer, make_policy
+def search_call(optimizer, policy, engine):
+    """One 16KB/HVT/M2 search as a zero-argument callable."""
+    return lambda: optimizer.optimize(16384 * 8, policy, engine=engine)
 
-    optimizer = ExhaustiveOptimizer(
-        session.model("hvt"), DesignSpace(), session.constraint("hvt")
+
+def yield_optimizer(session, code):
+    """The 16KB/HVT optimizer under the ECC-relaxed yield-target
+    constraint (``code`` at Y >= 0.9), seeded with the fixed-delta
+    constraint's margin memo."""
+    from repro.opt.constraints import YieldTargetConstraint
+
+    base = session.constraint("hvt")
+    constraint = YieldTargetConstraint(
+        library=session.library, flavor="hvt", delta=session.delta,
+        y_target=0.9, code=code, capacity_bits=16384 * 8,
+        word_bits=session.config.word_bits,
+        trust_fixed_rails=base.trust_fixed_rails,
+        flip_lookup=base.flip_lookup,
     )
-    levels = session.yield_levels("hvt")
-    policies = [make_policy(method, levels) for method in METHODS]
-    optimizer.optimize_many(16384 * 8, policies)  # warm-up
-    best = float("inf")
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        optimizer.optimize_many(16384 * 8, policies)
-        best = min(best, time.perf_counter() - start)
-    return best
+    constraint.seed_margin_memo(base.export_margin_memo())
+    return gate_optimizer(session, constraint)[0]
+
+
+def _report(label, base, now, machine_factor):
+    """Print one leg; True when it regressed beyond the threshold."""
+    regression = now / (base * machine_factor) - 1.0
+    print("  %s: baseline %.2f ms, measured %.2f ms, regression "
+          "%+.1f%% (threshold +%.0f%%)"
+          % (label, base * 1e3, now * 1e3, regression * 100.0,
+             THRESHOLD * 100.0))
+    return regression > THRESHOLD
 
 
 def main():
@@ -92,145 +121,70 @@ def main():
         return _skip("no readable baseline at %s (%s)"
                      % (BASELINE_PATH, exc))
     single = baseline.get("single", {})
-    base_fused = single.get("fused_seconds")
-    base_vec = single.get("vectorized_seconds")
-    if not base_fused or not base_vec:
-        return _skip("baseline predates the fused engine "
-                     "(no single.fused_seconds)")
+    base_loop = single.get("loop_seconds")
+    if not base_loop:
+        return _skip("baseline has no single.loop_seconds")
 
     from repro.analysis.experiments import Session
 
     session = Session.create(cache_path=CACHE_PATH, voltage_mode="paper")
-    now_vec = _time_engine(session, "vectorized")
-    now_fused = _time_engine(session, "fused")
+    optimizer, policy = gate_optimizer(session)
+    failed = False
 
-    # Hardware normalization: how much faster/slower this machine runs
-    # the identical vectorized arithmetic than the baseline machine did.
-    machine_factor = now_vec / base_vec
-    expected_fused = base_fused * machine_factor
-    regression = now_fused / expected_fused - 1.0
-
-    print("search-regression gate (%s)" % single.get("config", "?"))
-    print("  baseline : vectorized %.2f ms, fused %.2f ms"
-          % (base_vec * 1e3, base_fused * 1e3))
-    print("  measured : vectorized %.2f ms, fused %.2f ms"
-          % (now_vec * 1e3, now_fused * 1e3))
-    print("  machine factor %.2fx -> expected fused %.2f ms, "
-          "regression %+.1f%% (threshold +%.0f%%)"
-          % (machine_factor, expected_fused * 1e3,
-             regression * 100.0, THRESHOLD * 100.0))
-
-    failed = regression > THRESHOLD
-
-    # The policy-batched path rides the same gate (same machine factor:
-    # identical arithmetic, just more of it per dispatch).  Baselines
-    # predating optimize_many skip this leg only.
-    base_many = single.get("fused_many_seconds")
-    if base_many:
-        now_many = _time_many(session)
-        expected_many = base_many * machine_factor
-        many_regression = now_many / expected_many - 1.0
-        print("  policy-batched: baseline %.2f ms, measured %.2f ms, "
-              "regression %+.1f%% (threshold +%.0f%%)"
-              % (base_many * 1e3, now_many * 1e3,
-                 many_regression * 100.0, THRESHOLD * 100.0))
-        failed = failed or many_regression > THRESHOLD
-    else:
-        print("  policy-batched: baseline predates optimize_many — "
-              "leg skipped")
-
-    # The bound-and-prune engine rides the same machine factor.  Before
-    # timing it, its answer must equal the fused engine's on the gate
-    # cell — a wrong prune is a correctness bug, not a perf regression.
-    base_pruned = single.get("pruned_seconds")
-    if base_pruned:
-        from repro.opt import DesignSpace, ExhaustiveOptimizer, \
-            make_policy
-
-        optimizer = ExhaustiveOptimizer(
-            session.model("hvt"), DesignSpace(),
-            session.constraint("hvt"))
-        policy = make_policy("M2", session.yield_levels("hvt"))
-        fused_ref = optimizer.optimize(16384 * 8, policy, engine="fused")
-        pruned_ref = optimizer.optimize(16384 * 8, policy,
-                                        engine="pruned")
-        if (pruned_ref.design != fused_ref.design
-                or pruned_ref.metrics.edp != fused_ref.metrics.edp):
-            print("  bound-and-prune: argmin DIVERGED from fused "
-                  "(design %s vs %s)"
-                  % (pruned_ref.design, fused_ref.design))
-            failed = True
-        now_pruned = _time_engine(session, "pruned")
-        expected_pruned = base_pruned * machine_factor
-        pruned_regression = now_pruned / expected_pruned - 1.0
-        print("  bound-and-prune: baseline %.2f ms, measured %.2f ms, "
-              "regression %+.1f%% (threshold +%.0f%%)"
-              % (base_pruned * 1e3, now_pruned * 1e3,
-                 pruned_regression * 100.0, THRESHOLD * 100.0))
-        failed = failed or pruned_regression > THRESHOLD
-    else:
-        print("  bound-and-prune: baseline predates the pruned engine — "
-              "leg skipped")
-
-    # The yield-target constraint rides the same machine factor (its
-    # steady-state cost is the pruned search plus memoized sigma
-    # lookups).  Before timing it, the non-correcting code must leave
-    # the gate cell's argmin bit-identical to the fixed-delta search —
-    # a relaxation with code="none" is a correctness bug.
+    # Correctness before speed: the pruned argmin must equal the loop
+    # oracle's, and a non-correcting code must leave the fixed-delta
+    # argmin untouched (a relaxation with code="none" is a bug).
+    loop_ref = search_call(optimizer, policy, "loop")()
+    pruned_ref = search_call(optimizer, policy, "pruned")()
+    if (pruned_ref.design != loop_ref.design
+            or pruned_ref.metrics.edp != loop_ref.metrics.edp):
+        print("  pruned: argmin DIVERGED from the loop oracle "
+              "(design %s vs %s)" % (pruned_ref.design, loop_ref.design))
+        failed = True
     base_yield = single.get("yield_constraint_seconds")
     if base_yield:
-        from repro.opt import DesignSpace, ExhaustiveOptimizer, \
-            make_policy
-        from repro.opt.constraints import YieldTargetConstraint
-
-        base_constraint = session.constraint("hvt")
-        policy = make_policy("M2", session.yield_levels("hvt"))
-        fixed_ref = ExhaustiveOptimizer(
-            session.model("hvt"), DesignSpace(), base_constraint
-        ).optimize(16384 * 8, policy, engine="pruned")
-
-        def yield_constraint(code):
-            constraint = YieldTargetConstraint(
-                library=session.library, flavor="hvt",
-                delta=session.delta, y_target=0.9, code=code,
-                capacity_bits=16384 * 8,
-                word_bits=session.config.word_bits,
-                trust_fixed_rails=base_constraint.trust_fixed_rails,
-                flip_lookup=base_constraint.flip_lookup,
-            )
-            constraint.seed_margin_memo(
-                base_constraint.export_margin_memo())
-            return constraint
-
-        none_ref = ExhaustiveOptimizer(
-            session.model("hvt"), DesignSpace(), yield_constraint("none")
-        ).optimize(16384 * 8, policy, engine="pruned")
-        if (none_ref.design != fixed_ref.design
-                or none_ref.metrics.edp != fixed_ref.metrics.edp):
+        none_ref = search_call(yield_optimizer(session, "none"), policy,
+                               "pruned")()
+        if (none_ref.design != pruned_ref.design
+                or none_ref.metrics.edp != pruned_ref.metrics.edp):
             print("  yield-constraint: code='none' DIVERGED from the "
                   "fixed-delta search (design %s vs %s)"
-                  % (none_ref.design, fixed_ref.design))
+                  % (none_ref.design, pruned_ref.design))
             failed = True
 
-        optimizer = ExhaustiveOptimizer(
-            session.model("hvt"), DesignSpace(),
-            yield_constraint("secded"))
-        optimizer.optimize(16384 * 8, policy, engine="pruned")  # warm MC
-        now_yield = float("inf")
-        for _ in range(REPEATS):
-            start = time.perf_counter()
-            optimizer.optimize(16384 * 8, policy, engine="pruned")
-            now_yield = min(now_yield, time.perf_counter() - start)
-        expected_yield = base_yield * machine_factor
-        yield_regression = now_yield / expected_yield - 1.0
-        print("  yield-constraint: baseline %.2f ms, measured %.2f ms, "
-              "regression %+.1f%% (threshold +%.0f%%)"
-              % (base_yield * 1e3, now_yield * 1e3,
-                 yield_regression * 100.0, THRESHOLD * 100.0))
-        failed = failed or yield_regression > THRESHOLD
+    # Every leg whose baseline exists, timed round-robin with the
+    # oracle.  The yield leg's warm-up pays its Monte Carlo statistics
+    # once, so its timed repeats are the steady-state search cost.
+    bases = {"loop": base_loop}
+    calls = {"loop": search_call(optimizer, policy, "loop")}
+    for engine in GATED_ENGINES:
+        base = single.get("%s_seconds" % engine)
+        if base:
+            bases[engine] = base
+            calls[engine] = search_call(optimizer, policy, engine)
+        else:
+            print("  %s: baseline predates the engine — leg skipped"
+                  % engine)
+    if base_yield:
+        bases["yield-constraint"] = base_yield
+        calls["yield-constraint"] = search_call(
+            yield_optimizer(session, "secded"), policy, "pruned")
     else:
         print("  yield-constraint: baseline predates the yield leg — "
               "leg skipped")
+    now = best_times(calls)
+
+    # Hardware normalization: how much faster/slower this machine runs
+    # the loop oracle than the baseline machine did.
+    machine_factor = now["loop"] / base_loop
+    print("search-regression gate (%s)" % single.get("config", "?"))
+    print("  loop oracle: baseline %.2f ms, measured %.2f ms -> machine "
+          "factor %.2fx" % (base_loop * 1e3, now["loop"] * 1e3,
+                            machine_factor))
+    for leg, base in bases.items():
+        if leg != "loop":
+            failed = _report(leg, base, now[leg], machine_factor) \
+                or failed
 
     if failed:
         print("search-regression gate: FAIL")

@@ -2,23 +2,16 @@
 over a worker pool.
 
 A full Table-4 / Figure-7 study is 20 independent exhaustive searches
-(5 capacities x 2 flavors x 2 methods).  They share only *read-only*
-state — the characterization LUTs and the memoized yield margins — so
-the matrix parallelizes embarrassingly.  With ``engine="fused"`` the
-matrix is additionally *policy-batched*: the two methods of each
-``(flavor, capacity)`` cell are scored by one
-:meth:`~repro.opt.ExhaustiveOptimizer.optimize_many` dispatch (a single
-broadcast evaluation over a leading policy axis), halving the number of
-model evaluations while staying bit-identical per task.  The executors:
+(5 capacities x 2 flavors x 2 methods), dispatched one task at a time.
+They share only *read-only* state — the characterization LUTs and the
+memoized yield margins — so the matrix parallelizes embarrassingly.
+The executors:
 
 * ``executor="process"`` — a :class:`~concurrent.futures.ProcessPoolExecutor`
-  whose workers map the parent's shared-memory session arena
-  (:class:`repro.shm.SessionArena`) in their initializer and rebuild
-  their session as zero-copy views over its LUT grids — no pickling,
-  no re-characterization; if the arena cannot be published or mapped
-  they fall back to building from the (warm) characterization cache.
-  The parent pre-computes the yield margins for the
-  whole V_SSC candidate axis once and ships the memo to every worker
+  whose workers each build their session from the (warm)
+  characterization cache in their initializer.  The parent pre-computes
+  the yield margins for the whole V_SSC candidate axis once and ships
+  the memo to every worker
   (:meth:`YieldConstraint.seed_margin_memo`), so no process ever re-runs
   a butterfly the study already ran.
 * ``executor="thread"`` — a thread pool sharing the parent session
@@ -45,7 +38,6 @@ from dataclasses import dataclass, field
 from .. import perf
 from ..errors import StudyTaskError
 from ..opt import DesignSpace, ExhaustiveOptimizer, make_policy
-from ..shm import SessionArena
 from .experiments import (
     CAPACITIES_BYTES,
     DEFAULT_CACHE_PATH,
@@ -224,51 +216,30 @@ def _objective_kind(objective):
     return objective if isinstance(objective, str) else objective[0]
 
 
-def _worker_init(cache_path, voltage_mode, space, margin_memos,
-                 arena_name=None):
-    """Build one shared read-only session per worker process.
-
-    With ``arena_name`` the worker maps the parent's published
-    :class:`SessionArena` and rebuilds its session directly over the
-    shared LUT grids (zero copies, zero characterization).  Any attach
-    failure falls back to the cache-backed cold build — the arena is a
-    fast path, never a correctness dependency.
-    """
+def _worker_init(cache_path, voltage_mode, space, margin_memos):
+    """Build one shared read-only session per worker process."""
     # Fork-started workers inherit the parent's telemetry registry;
     # clear it so the first task's snapshot is this worker's delta only.
     perf.get_registry().reset()
-    session = None
-    if arena_name:
-        try:
-            with perf.timed("arena.attach"):
-                arena = SessionArena.attach(arena_name)
-                session = arena.to_session()
-        except Exception:
-            session = None
-        else:
-            # The session's LUTs are views into the mapping; keep the
-            # arena alive for the worker's lifetime.
-            _WORKER_STATE["arena"] = arena
-    if session is None:
-        session = Session.create(cache_path=cache_path,
-                                 voltage_mode=voltage_mode)
+    session = Session.create(cache_path=cache_path,
+                             voltage_mode=voltage_mode)
     for flavor, memo in margin_memos.items():
         session.constraint(flavor).seed_margin_memo(memo)
     _WORKER_STATE["session"] = session
     _WORKER_STATE["space"] = space
 
 
-def _run_unit_in_worker(unit, engine, keep_landscape, objective="edp"):
+def _run_task_in_worker(task, engine, keep_landscape, objective="edp"):
     session = _WORKER_STATE["session"]
     space = _WORKER_STATE["space"]
-    entries = _execute_unit(session, space, unit, engine, keep_landscape,
-                            objective)
+    result, seconds = _execute_task(session, space, task, engine,
+                                    keep_landscape, objective)
     # Snapshot-and-reset so each returned snapshot is a disjoint delta;
     # the parent merges them all without double counting.
     registry = perf.get_registry()
     snapshot = registry.snapshot()
     registry.reset()
-    return entries, os.getpid(), snapshot
+    return result, seconds, os.getpid(), snapshot
 
 
 def _execute_task(session, space, task, engine, keep_landscape,
@@ -300,61 +271,6 @@ def _execute_task(session, space, task, engine, keep_landscape,
     return result, time.perf_counter() - start
 
 
-def _study_units(tasks, engine, objective="edp"):
-    """Group the task matrix into dispatch units.
-
-    Every engine but ``"fused"`` dispatches one task per unit.  The
-    fused engine groups the tasks sharing a ``(flavor, capacity)`` cell
-    — i.e. that cell's voltage policies — into one unit, which
-    :func:`_execute_unit` scores in a single policy-batched
-    :meth:`ExhaustiveOptimizer.optimize_many` evaluation.  Unit order
-    (and task order within a unit) follows the canonical matrix order,
-    so results remain deterministic.
-
-    Pareto and yield sweeps always dispatch one task per unit: the
-    pruned front maintenance (pareto) and the per-cell two-arm search
-    (yield) are incumbency-driven, so there is no policy-batched fast
-    path to share.
-    """
-    if engine != "fused" or _objective_kind(objective) != "edp":
-        return [(task,) for task in tasks]
-    groups = {}
-    for task in tasks:
-        groups.setdefault((task.flavor, task.capacity_bytes),
-                          []).append(task)
-    return [tuple(group) for group in groups.values()]
-
-
-def _execute_unit(session, space, unit, engine, keep_landscape,
-                  objective="edp"):
-    """Run one dispatch unit; returns ``[(task, result, seconds), ...]``.
-
-    Multi-task (fused) units share one broadcast evaluation, so the
-    group's wall time is split evenly across its tasks — the per-task
-    ``seconds`` stay meaningful in aggregate (they sum to the unit's
-    wall time) even though the work was not separable.
-    """
-    if len(unit) == 1:
-        task = unit[0]
-        result, seconds = _execute_task(session, space, task, engine,
-                                        keep_landscape, objective)
-        return [(task, result, seconds)]
-    start = time.perf_counter()
-    flavor = unit[0].flavor
-    model = session.model(flavor)
-    constraint = session.constraint(flavor)
-    optimizer = ExhaustiveOptimizer(model, space, constraint)
-    levels = session.yield_levels(flavor)
-    policies = [make_policy(task.method, levels) for task in unit]
-    results = optimizer.optimize_many(
-        unit[0].capacity_bytes * 8, policies,
-        keep_landscape=keep_landscape, engine=engine,
-    )
-    seconds = (time.perf_counter() - start) / len(unit)
-    return [(task, result, seconds)
-            for task, result in zip(unit, results)]
-
-
 def execute_study_task(session, space, task, engine="vectorized",
                        keep_landscape=False):
     """Run one study-matrix cell; returns ``(result, seconds)``.
@@ -380,24 +296,6 @@ def _task_failure(task, exc):
         "study task %s failed: %s: %s"
         % (task.label, type(exc).__name__, exc),
         task_label=task.label,
-    )
-
-
-def _unit_failure(unit, exc):
-    """Attribute a unit failure: the task label for singleton units, a
-    combined ``cap/FLAVOR/M1+M2`` label for fused policy batches (the
-    batch evaluates all policies at once, so the cell is the faulty
-    grain, not one method)."""
-    if len(unit) == 1:
-        return _task_failure(unit[0], exc)
-    label = "%s/%s/%s" % (
-        capacity_label(unit[0].capacity_bytes), unit[0].flavor.upper(),
-        "+".join(task.method for task in unit),
-    )
-    return StudyTaskError(
-        "study unit %s failed: %s: %s"
-        % (label, type(exc).__name__, exc),
-        task_label=label,
     )
 
 
@@ -494,8 +392,7 @@ def run_study(session=None, capacities=CAPACITIES_BYTES, flavors=FLAVORS,
     if workers == 1:
         executor = "serial"
     tasks = study_matrix(capacities, flavors, methods)
-    units = _study_units(tasks, engine, objective)
-    workers = min(workers, len(units))
+    workers = min(workers, len(tasks))
 
     # Warm and export the margin memos once, in the parent: feasibility
     # masks over the whole V_SSC axis for every flavor in play.
@@ -516,72 +413,55 @@ def run_study(session=None, capacities=CAPACITIES_BYTES, flavors=FLAVORS,
     start = time.perf_counter()
     results = {}
     timings = {}
+
+    def record(task, result, seconds, worker=0):
+        results[task.key] = result
+        timings[task.key] = TaskTiming(task, seconds, result.n_evaluated,
+                                       worker)
+
     if executor == "serial":
-        for unit in units:
+        for task in tasks:
             try:
-                entries = _execute_unit(session, space, unit, engine,
-                                        keep_landscape, objective)
+                result, seconds = _execute_task(
+                    session, space, task, engine, keep_landscape,
+                    objective)
             except Exception as exc:
-                raise _unit_failure(unit, exc) from exc
-            for task, result, seconds in entries:
-                results[task.key] = result
-                timings[task.key] = TaskTiming(task, seconds,
-                                               result.n_evaluated, 0)
+                raise _task_failure(task, exc) from exc
+            record(task, result, seconds)
     elif executor == "thread":
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = {
-                pool.submit(_execute_unit, session, space, unit, engine,
-                            keep_landscape, objective): unit
-                for unit in units
+                pool.submit(_execute_task, session, space, task, engine,
+                            keep_landscape, objective): task
+                for task in tasks
             }
-            for future, unit in futures.items():
+            for future, task in futures.items():
                 try:
-                    entries = future.result()
+                    result, seconds = future.result()
                 except Exception as exc:
                     _cancel_pending(futures)
-                    raise _unit_failure(unit, exc) from exc
-                for task, result, seconds in entries:
-                    results[task.key] = result
-                    timings[task.key] = TaskTiming(task, seconds,
-                                                   result.n_evaluated, 0)
+                    raise _task_failure(task, exc) from exc
+                record(task, result, seconds)
     elif executor == "process":
-        # Publish the parent's session once; workers map it zero-copy.
-        # Publishing is best-effort — on failure the workers cold-build
-        # from the cache exactly as before.
-        arena = None
-        try:
-            with perf.timed("arena.publish"):
-                arena = SessionArena.publish(session, margin_memos)
-        except Exception:
-            arena = None
-        try:
-            with ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_worker_init,
-                initargs=(cache_path, session.voltage_mode, space,
-                          margin_memos,
-                          arena.name if arena is not None else None),
-            ) as pool:
-                futures = {
-                    pool.submit(_run_unit_in_worker, unit, engine,
-                                keep_landscape, objective): unit
-                    for unit in units
-                }
-                for future, submitted in futures.items():
-                    try:
-                        entries, pid, snapshot = future.result()
-                    except Exception as exc:
-                        _cancel_pending(futures)
-                        raise _unit_failure(submitted, exc) from exc
-                    for task, result, seconds in entries:
-                        results[task.key] = result
-                        timings[task.key] = TaskTiming(task, seconds,
-                                                       result.n_evaluated,
-                                                       pid)
-                    perf.get_registry().merge(snapshot)
-        finally:
-            if arena is not None:
-                arena.dispose()
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=_worker_init,
+            initargs=(cache_path, session.voltage_mode, space,
+                      margin_memos),
+        ) as pool:
+            futures = {
+                pool.submit(_run_task_in_worker, task, engine,
+                            keep_landscape, objective): task
+                for task in tasks
+            }
+            for future, task in futures.items():
+                try:
+                    result, seconds, pid, snapshot = future.result()
+                except Exception as exc:
+                    _cancel_pending(futures)
+                    raise _task_failure(task, exc) from exc
+                record(task, result, seconds, pid)
+                perf.get_registry().merge(snapshot)
     else:
         raise ValueError(
             "unknown executor %r (expected 'auto', 'serial', 'thread', "

@@ -4,7 +4,10 @@ The paper assumes ``n_r`` and ``n_c`` are powers of two with
 ``M = n_r * n_c`` bits total and ``W`` bits accessed per cycle.  When
 ``n_c > W`` a column multiplexer (with its own decoder and drivers) is
 needed; when ``n_c <= W`` all column-mux terms vanish (Table 1/Table 3
-case splits).
+case splits).  :class:`BroadcastOrganization` stacks many organizations
+along an array axis, so the pruned search engine scores a batch of
+``(n_r, V_SSC)`` tiles — and :func:`repro.opt.tile_lower_bounds` bounds
+all of them — in one model call.
 """
 
 from __future__ import annotations
@@ -127,19 +130,16 @@ class ArrayOrganization:
 class BroadcastOrganization:
     """A stacked axis of organizations sharing one word width.
 
-    ``n_r`` / ``n_c`` are integer arrays (conventionally shaped
-    ``(R, 1, 1, 1)``, so the row axis sits right-aligned at axis ``-4``
-    over a ``(S, P, W)`` search grid — and under a leading policy batch
-    axis the same shape broadcasts into ``(B, R, S, P, W)`` unchanged);
-    every property mirrors :class:`ArrayOrganization` but returns arrays
-    of the same shape.  The fused search engine uses this to evaluate
-    one policy's *entire* row-count axis — or a whole policy batch's —
-    in a single :meth:`SRAMArrayModel.evaluate` call.
+    ``n_r`` / ``n_c`` are integer arrays (the pruned engine's gathered
+    tiles are shaped ``(T, 1, 1)`` over the ``(P, W)`` fin grid; the
+    tile bounds use ``(R, 1)`` against a ``(1, S)`` V_SSC axis); every
+    property mirrors :class:`ArrayOrganization` but returns arrays of
+    the same shape.
 
     Consumers branch on ``is_broadcast`` where the scalar class uses a
     Python ``if`` over ``has_column_mux`` — the array path computes
     both case expressions with the scalar path's exact arithmetic and
-    selects with :func:`numpy.where`, which keeps fused results
+    selects with :func:`numpy.where`, which keeps broadcast results
     bit-identical to the per-organization loop.
     """
 

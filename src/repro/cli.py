@@ -204,7 +204,7 @@ def run_pareto(argv):
     parser.add_argument("--methods", default=None,
                         help="comma-separated subset of M1,M2")
     parser.add_argument("--engine",
-                        choices=("pruned", "fused", "vectorized", "loop"),
+                        choices=("pruned", "vectorized", "loop"),
                         default="pruned",
                         help="search engine (pruned = bound-and-prune "
                              "with incremental front maintenance)")
@@ -292,7 +292,7 @@ def run_yield(argv):
                         help="array yield target in (0, 1) "
                              "(default 0.9)")
     parser.add_argument("--engine",
-                        choices=("pruned", "fused", "vectorized", "loop"),
+                        choices=("pruned", "vectorized", "loop"),
                         default="pruned",
                         help="search engine for both arms")
     parser.add_argument("--sampler",
@@ -377,10 +377,10 @@ def run_serve(argv):
                         choices=("auto", "thread", "process"),
                         default="thread",
                         help="worker pool type: thread shares one warm "
-                             "session; process forks workers that map "
-                             "the session's shared-memory arena; auto "
-                             "picks process on multi-core hosts and "
-                             "thread on single-CPU ones")
+                             "session; process forks workers that load "
+                             "the characterization cache; auto picks "
+                             "process on multi-core hosts and thread on "
+                             "single-CPU ones")
     parser.add_argument("--workers", type=int, default=0,
                         help="pool size (0 = cpu count)")
     parser.add_argument("--max-batch", type=int, default=8,
@@ -390,15 +390,6 @@ def run_serve(argv):
                              "(0 disables batching)")
     parser.add_argument("--max-pending", type=int, default=64,
                         help="in-flight bound; beyond it requests get 429")
-    parser.add_argument("--endpoint-max-batch", action="append",
-                        default=[], metavar="KIND=N",
-                        help="per-endpoint flush size override, e.g. "
-                             "'optimize=16' (repeatable; kinds: optimize,"
-                             " evaluate, montecarlo)")
-    parser.add_argument("--endpoint-max-wait-ms", action="append",
-                        default=[], metavar="KIND=MS",
-                        help="per-endpoint batch window override, e.g. "
-                             "'optimize=12.5' (repeatable)")
     parser.add_argument("--cache", default=".repro_cache.json",
                         help="characterization cache path ('' disables)")
     parser.add_argument("--voltage-mode", choices=("measured", "paper"),
@@ -440,27 +431,10 @@ def run_serve(argv):
             executor = "thread"
             print("single-CPU host: --executor auto selected the "
                   "shared-session thread pool")
-    overrides = {}
-    for flag, key, cast in (
-        ("--endpoint-max-batch", "max_batch", int),
-        ("--endpoint-max-wait-ms", "max_wait_ms", float),
-    ):
-        attr = flag.lstrip("-").replace("-", "_")
-        for spec in getattr(args, attr):
-            kind, _, value = spec.partition("=")
-            kind = kind.strip()
-            if not kind or not value:
-                parser.error("%s expects KIND=VALUE, got %r"
-                             % (flag, spec))
-            try:
-                overrides.setdefault(kind, {})[key] = cast(value)
-            except ValueError:
-                parser.error("%s: bad value in %r" % (flag, spec))
     config = ServiceConfig(
         host=args.host, port=args.port, executor=executor,
         workers=args.workers, max_batch=args.max_batch,
         max_wait_ms=args.max_wait_ms, max_pending=args.max_pending,
-        endpoint_overrides=overrides or None,
         cache_path=args.cache, voltage_mode=args.voltage_mode,
         jobs_path=args.jobs, store_path=args.store,
         job_workers=args.job_workers, job_lease_seconds=args.job_lease,
@@ -506,7 +480,7 @@ def run_jobs(argv):
     parser.add_argument("--methods", default=None,
                         help="submit: comma-separated subset of M1,M2")
     parser.add_argument("--engine",
-                        choices=("fused", "pruned", "vectorized", "loop"),
+                        choices=("pruned", "vectorized", "loop"),
                         default="vectorized")
     parser.add_argument("--voltage-mode", choices=("measured", "paper"),
                         default="paper")
@@ -521,9 +495,6 @@ def run_jobs(argv):
                         help="work: run one job and exit")
     parser.add_argument("--max-jobs", type=int, default=None,
                         help="work: exit after this many jobs")
-    parser.add_argument("--arena", default=None, metavar="NAME",
-                        help="work: attach the named shared-memory "
-                             "session arena (zero-copy warm start)")
     parser.add_argument("--server", default=None, metavar="URL",
                         help="work: claim jobs from this serve instance "
                              "over HTTP instead of a local queue file "
@@ -552,8 +523,6 @@ def run_jobs(argv):
             worker_argv += ["--once"]
         if args.max_jobs is not None:
             worker_argv += ["--max-jobs", str(args.max_jobs)]
-        if args.arena:
-            worker_argv += ["--arena", args.arena]
         return worker_main(worker_argv)
 
     queue = JobQueue(args.queue)
@@ -570,7 +539,7 @@ def run_jobs(argv):
 
         spec = normalize_study_spec(spec)
         job_id = queue.submit("study", spec, priority=args.priority,
-                              max_attempts=args.max_attempts)
+                              max_attempts=args.max_attempts).id
         print("submitted %s: %d-cell study sweep"
               % (job_id, len(spec["capacities"]) * len(spec["flavors"])
                  * len(spec["methods"])))
@@ -793,12 +762,12 @@ def main(argv=None):
                         default="auto",
                         help="pool type for --workers > 1")
     parser.add_argument("--engine",
-                        choices=("fused", "pruned", "vectorized",
-                                 "batched", "loop"),
+                        choices=("pruned", "vectorized", "batched",
+                                 "loop"),
                         default="vectorized",
-                        help="search/cell engine (fused = the whole "
-                             "4-D space in one broadcast call; pruned "
-                             "= bound-and-prune tile skipping; loop = "
+                        help="search/cell engine (vectorized = one "
+                             "broadcast call per row count; pruned = "
+                             "bound-and-prune tile skipping; loop = "
                              "the reference point-by-point "
                              "implementation; batched = the vectorized "
                              "cell engine, montecarlo default)")

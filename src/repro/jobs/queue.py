@@ -175,19 +175,28 @@ class JobQueue:
     # -- producer side -----------------------------------------------------
 
     def submit(self, kind, spec, priority=0, max_attempts=3):
-        """Enqueue one job; returns its id."""
-        job_id = new_job_id()
+        """Enqueue one job; returns the :class:`Job` row as committed.
+
+        The returned row is the state this insert wrote (``queued``),
+        never a later read — a worker may claim the job the moment the
+        transaction commits.
+        """
         now = time.time()
+        encoded = json.dumps(spec)
+        job = Job(id=new_job_id(), kind=kind, spec=json.loads(encoded),
+                  state="queued", priority=int(priority),
+                  max_attempts=int(max_attempts), created_at=now,
+                  updated_at=now)
         with self._txn() as conn:
             conn.execute(
                 "INSERT INTO jobs (id, kind, spec, state, priority, "
                 "max_attempts, created_at, updated_at) "
                 "VALUES (?, ?, ?, 'queued', ?, ?, ?, ?)",
-                (job_id, kind, json.dumps(spec), int(priority),
-                 int(max_attempts), now, now),
+                (job.id, kind, encoded, job.priority, job.max_attempts,
+                 job.created_at, job.updated_at),
             )
         perf.count("jobs.submitted")
-        return job_id
+        return job
 
     def cancel(self, job_id):
         """Cancel a queued or running job.

@@ -211,7 +211,7 @@ class RemoteJobQueue:
         if status != 202:
             raise JobError("remote submit failed: HTTP %d: %s"
                            % (status, payload.get("error", payload)))
-        return payload["id"]
+        return job_from_payload(payload)
 
     def cancel(self, job_id):
         status, payload, _ = self._request("DELETE",

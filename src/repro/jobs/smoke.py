@@ -93,7 +93,7 @@ def main(argv=None):
         queue = JobQueue(queue_path)
         store = ExperimentStore(queue_path)
         spec = dict(SPEC, cache_path=cache)
-        job_id = queue.submit("study", spec)
+        job_id = queue.submit("study", spec).id
         print("submitted %s (16-cell sweep)" % job_id, flush=True)
 
         # Warm the characterization cache up front so the kill window

@@ -64,7 +64,7 @@ from ..units import is_power_of_two
 from .queue import JobQueue
 
 #: Spec defaults / validation domains.
-STUDY_ENGINES = ("fused", "pruned", "vectorized", "loop")
+STUDY_ENGINES = ("pruned", "vectorized", "loop")
 VOLTAGE_MODES = ("paper", "measured")
 
 
@@ -177,17 +177,11 @@ class SessionProvider:
 
     The service seeds this with its already-warm session so background
     job workers never re-characterize; a standalone worker builds from
-    the (disk-cached) characterization store on first use.  With
-    ``arena_name`` (``repro jobs work --arena``) a spec whose voltage
-    mode matches the published :class:`~repro.shm.SessionArena` is
-    served by a zero-copy arena session instead of a cold build; any
-    attach failure silently falls back.
+    the (disk-cached) characterization store on first use.
     """
 
-    def __init__(self, default_cache_path=None, arena_name=None):
+    def __init__(self, default_cache_path=None):
         self.default_cache_path = default_cache_path
-        self.arena_name = arena_name
-        self._arena = None
         self._sessions = {}
         self._lock = threading.Lock()
 
@@ -202,32 +196,12 @@ class SessionProvider:
         with self._lock:
             self._sessions[self._key(path, session.voltage_mode)] = session
 
-    def _from_arena(self, voltage_mode):
-        """An arena-backed session for matching specs, or None."""
-        if not self.arena_name:
-            return None
-        if self._arena is None:
-            from ..shm import SessionArena
-
-            try:
-                # Kept for the provider's lifetime: the sessions built
-                # from it hold views into the mapping.
-                self._arena = SessionArena.attach(self.arena_name)
-            except Exception:
-                self.arena_name = None
-                return None
-        if self._arena.voltage_mode != voltage_mode:
-            return None
-        return self._arena.to_session()
-
     def for_spec(self, spec):
         cache_path = spec.get("cache_path") or self.default_cache_path
         voltage_mode = spec.get("voltage_mode", "paper")
         key = self._key(cache_path, voltage_mode)
         with self._lock:
             session = self._sessions.get(key)
-            if session is None:
-                session = self._from_arena(voltage_mode)
             if session is None:
                 session = Session.create(cache_path=cache_path,
                                          voltage_mode=voltage_mode)
@@ -325,15 +299,13 @@ def run_worker(queue_path=None, store_path=None, worker_id=None,
                lease_seconds=30.0, poll_interval=0.5, max_jobs=None,
                once=False, stop=None, sessions=None,
                default_cache_path=None, throttle=0.0, log=None,
-               arena_name=None, queue=None, store=None):
+               queue=None, store=None):
     """The worker loop: claim -> execute -> repeat.
 
     ``once`` waits (polling) for the first claimable job, runs it, and
     returns; otherwise the loop runs until ``stop`` is set or
     ``max_jobs`` jobs finished.  ``store_path`` defaults to the queue
     path — both subsystems happily share one SQLite file.
-    ``arena_name`` points the default :class:`SessionProvider` at a
-    published shared-memory session arena (zero-copy warm start).
 
     ``queue``/``store`` accept pre-built queue- and store-like objects
     instead of paths — that is how a fleet worker drains a **remote**
@@ -351,8 +323,7 @@ def run_worker(queue_path=None, store_path=None, worker_id=None,
                            "the queue is remote")
         store = ExperimentStore(store_path or queue_path)
     worker_id = worker_id or new_worker_id()
-    sessions = sessions or SessionProvider(default_cache_path,
-                                           arena_name=arena_name)
+    sessions = sessions or SessionProvider(default_cache_path)
     stats = WorkerStats(worker=worker_id)
     start = time.perf_counter()
     while True:
@@ -454,10 +425,6 @@ def main(argv=None):
     parser.add_argument("--throttle", type=float, default=0.0,
                         help="sleep this long after each computed cell "
                              "(pacing / test knob)")
-    parser.add_argument("--arena", default=None, metavar="NAME",
-                        help="attach the named shared-memory session "
-                             "arena (zero-copy warm start; falls back "
-                             "to the cache when unavailable)")
     args = parser.parse_args(argv)
     if bool(args.queue) == bool(args.server):
         parser.error("exactly one of --queue (local) or --server "
@@ -493,7 +460,6 @@ def main(argv=None):
         once=args.once, stop=stop,
         default_cache_path=args.cache or None,
         throttle=args.throttle, log=lambda line: print(line, flush=True),
-        arena_name=args.arena,
     )
     print("worker %s: %d done, %d failed, %d lost; "
           "%d cells computed, %d skipped (%.1f s)"

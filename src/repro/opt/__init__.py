@@ -5,9 +5,9 @@ Public API:
 * :class:`DesignSpace` — the paper's search ranges.
 * :class:`YieldLevels` / :func:`make_policy` — the M1/M2 rail policies.
 * :class:`YieldConstraint` — min(HSNM, RSNM, WM) >= delta.
-* :class:`ExhaustiveOptimizer` — the minimum-EDP search (four engines:
-  ``loop`` / ``vectorized`` / ``fused`` / ``pruned``) and the
-  :meth:`~ExhaustiveOptimizer.pareto` front sweep.
+* :class:`ExhaustiveOptimizer` — the minimum-EDP search (two production
+  engines, ``vectorized`` and ``pruned``, plus the ``loop`` oracle)
+  and the :meth:`~ExhaustiveOptimizer.pareto` front sweep.
 * :func:`tile_lower_bounds` — admissible per-(n_r, V_SSC) bounds behind
   the ``pruned`` engine.
 * :func:`pareto_front` / :class:`ParetoFrontBuilder` — energy-delay

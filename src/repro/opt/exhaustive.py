@@ -5,16 +5,8 @@ With V_DDC / V_WL pre-set by the voltage policy, the free variables are
 paper reports under two minutes on a 2011-era server; the vectorized
 grid evaluation here takes milliseconds per configuration).
 
-Four search engines share one result path:
+Two production engines and one reference share one result path:
 
-* ``engine="fused"`` — one policy's *entire* feasible
-  ``n_r x V_SSC x N_pre x N_wr`` space in a single 4-D broadcast call
-  of the array model: the row-count axis (with its paired
-  ``n_c = capacity // n_r``) rides along as ``(R, 1, 1, 1)``, V_SSC as
-  ``(1, S, 1, 1)``, over the ``(P, W)`` fin grid.  The per-slice
-  reductions (one landscape point per ``(n_r, V_SSC)``) are pure
-  ``argmin`` / ``unravel_index`` array ops, so a whole search is one
-  ``model.evaluate`` call plus reductions.
 * ``engine="vectorized"`` (default) — the whole feasible
   ``V_SSC x N_pre x N_wr`` space of one row count is evaluated in a
   single broadcast call of the array model (``v_ssc`` rides along as a
@@ -23,36 +15,29 @@ Four search engines share one result path:
   as a vectorized boolean mask over the V_SSC candidates
   (:meth:`YieldConstraint.satisfied_grid`) — cell margins do not depend
   on the organization or the fin counts.
-* ``engine="loop"`` — the original per-``(n_r, V_SSC)`` slice loop,
-  kept as the bit-exact reference the equivalence tests compare
-  against.
-* ``engine="pruned"`` — the first engine that *shrinks* the space
-  instead of evaluating it faster: admissible per-``(n_r, V_SSC)``
-  lower bounds (:mod:`repro.opt.bounds`) are computed for every tile
-  in one tiny broadcast call, the tile with the smallest EDP bound is
-  evaluated first to seed an incumbent, and every tile whose bound
-  strictly exceeds the incumbent is skipped without ever calling
+* ``engine="pruned"`` — *shrinks* the space instead of evaluating it
+  faster: admissible per-``(n_r, V_SSC)`` lower bounds
+  (:mod:`repro.opt.bounds`) are computed for every tile in one tiny
+  broadcast call, the tile with the smallest EDP bound is evaluated
+  first to seed an incumbent, and every tile whose bound strictly
+  exceeds the incumbent is skipped without ever calling
   ``model.evaluate``.  Survivors score through gathered broadcast
-  dispatches (the fused call shape, restricted to surviving tiles) and
-  the final scan replays the loop engine's r-major/s-minor strict-``<``
-  order, so the result — including argmin tie-breaking — is
-  bit-identical to the reference.  ``keep_landscape=True`` needs every
-  tile's slice-best anyway, so it disables pruning and matches the
-  loop engine's landscape and evaluation count exactly.
+  dispatches (one ``n_r`` / ``n_c`` / ``v_ssc`` element per tile along
+  a shared leading axis) and the final scan replays the loop engine's
+  r-major/s-minor strict-``<`` order, so the result — including argmin
+  tie-breaking — is bit-identical to the reference.
+  ``keep_landscape=True`` needs every tile's slice-best anyway, so it
+  disables pruning and matches the loop engine's landscape and
+  evaluation count exactly.
+* ``engine="loop"`` — the original per-``(n_r, V_SSC)`` slice loop,
+  kept as the bit-exact oracle the equivalence tests compare against.
 
-On top of the fused engine, :meth:`ExhaustiveOptimizer.optimize_many`
-stacks a leading *policy* axis: the rail voltages of ``B`` policies
-ride in shaped ``(B, 1, 1, 1, 1)`` (with each policy's feasible V_SSC
-set padded to a common width along a ``(B, 1, S, 1, 1)`` axis), so one
-capacity's *every* policy is scored by a single broadcast
-``model.evaluate`` over the ``(B, n_r, V_SSC, N_pre, N_wr)`` tensor.
-Per-policy reductions mask the padded V_SSC slots with ``+inf``, so
-each policy's best design, EDP, evaluation count, and landscape are
-bit-identical to its own per-policy search through any engine.
+:meth:`ExhaustiveOptimizer.optimize_many` is a convenience loop over
+:meth:`ExhaustiveOptimizer.optimize`, one search per policy.
 
 All engines perform the same elementwise arithmetic in the same order,
-so they return bit-identical results (designs, EDP, evaluation counts,
-and landscapes).
+so they return bit-identical results (designs, EDP, and landscapes;
+evaluation counts too, except where pruning skips tiles).
 """
 
 from __future__ import annotations
@@ -83,18 +68,15 @@ class ExhaustiveOptimizer:
         :class:`DesignSpaceError` when no candidate satisfies the yield
         constraint.
         """
-        if engine == "vectorized":
-            search = self._search_vectorized
-        elif engine == "fused":
-            search = self._search_fused
-        elif engine == "pruned":
-            search = self._search_pruned
-        elif engine == "loop":
-            search = self._search_loop
-        else:
+        search = {
+            "vectorized": self._search_vectorized,
+            "pruned": self._search_pruned,
+            "loop": self._search_loop,
+        }.get(engine)
+        if search is None:
             raise ValueError(
-                "unknown engine %r (expected 'fused', 'pruned', "
-                "'vectorized' or 'loop')" % (engine,)
+                "unknown engine %r (expected 'pruned', 'vectorized' or "
+                "'loop')" % (engine,)
             )
         with perf.timed("optimizer.search.%s" % engine):
             best, landscape, n_evaluated = search(
@@ -105,52 +87,18 @@ class ExhaustiveOptimizer:
                               n_evaluated)
 
     def optimize_many(self, capacity_bits, policies, keep_landscape=False,
-                      engine="fused"):
-        """Search one capacity under *every* policy in one fused dispatch.
+                      engine="vectorized"):
+        """Search one capacity under every policy, in input order.
 
-        The policies' rail voltages ride in as a leading batch axis of a
-        single broadcast ``model.evaluate`` call (see
-        :meth:`_search_fused_many`), so a study cell — or a batch of
-        coalesced service requests — pays one engine dispatch instead of
-        one per policy.  Returns one :class:`OptimizationResult` per
-        policy, in input order, each bit-identical to what a per-policy
-        :meth:`optimize` through any engine returns.
-
-        Only the fused engine supports the policy axis; ``"loop"`` and
-        ``"vectorized"`` stay the per-policy references.  Raises
-        :class:`DesignSpaceError` when any policy's yield constraint is
-        unsatisfiable (callers that need per-policy verdicts fall back
-        to per-policy :meth:`optimize` calls).
+        One :meth:`optimize` call per policy; raises
+        :class:`DesignSpaceError` at the first policy whose yield
+        constraint is unsatisfiable.
         """
-        if engine != "fused":
-            raise ValueError(
-                "optimize_many only supports engine='fused' (got %r); "
-                "run optimize() per policy for the loop/vectorized "
-                "reference paths" % (engine,)
-            )
-        policies = list(policies)
-        if not policies:
-            return []
-        feasibles = self._feasible_many(policies)
-        for policy, feasible in zip(policies, feasibles):
-            if feasible.size == 0:
-                raise DesignSpaceError(
-                    "no feasible design for %d bits under policy %s "
-                    "(yield constraint unsatisfiable)"
-                    % (capacity_bits, policy.method)
-                )
-        with perf.timed("optimizer.search.fused_many"):
-            searched = self._search_fused_many(
-                capacity_bits, policies, feasibles, keep_landscape
-            )
-        results = []
-        for policy, (best, landscape, n_evaluated) in zip(policies,
-                                                          searched):
-            perf.count("optimizer.evaluations", n_evaluated)
-            results.append(self._finalize(
-                capacity_bits, policy, best, landscape, n_evaluated
-            ))
-        return results
+        return [
+            self.optimize(capacity_bits, policy,
+                          keep_landscape=keep_landscape, engine=engine)
+            for policy in policies
+        ]
 
     def pareto(self, capacity_bits, policy, engine="pruned"):
         """Energy-delay Pareto front of one capacity under one policy.
@@ -244,8 +192,7 @@ class ExhaustiveOptimizer:
 
     def _finalize(self, capacity_bits, policy, best, landscape,
                   n_evaluated):
-        """Re-evaluate the winner at scalar rank and wrap the result
-        (shared by :meth:`optimize` and :meth:`optimize_many`)."""
+        """Re-evaluate the winner at scalar rank and wrap the result."""
         if best is None:
             raise DesignSpaceError(
                 "no feasible design for %d bits under policy %s "
@@ -295,50 +242,6 @@ class ExhaustiveOptimizer:
                 for v in candidates
             ], dtype=bool)
         return candidates[mask]
-
-    def _feasible_many(self, policies):
-        """Per-policy feasible V_SSC sets with the margin pass hoisted:
-        policies sharing ``(v_ddc, v_wl, v_bl)`` — e.g. a consolidated
-        M2 next to the M1 it collapsed onto — run *one* yield-grid
-        lookup over the union of their candidate sets instead of one
-        per policy.  Margins are per-``(v_ddc, v_ssc)`` values, so
-        filtering each policy's own candidate list through the shared
-        verdict map preserves candidate order and bit-identity with
-        :meth:`_feasible_v_ssc`."""
-        rails = {}
-        for policy in policies:
-            key = (float(policy.v_ddc), float(policy.v_wl),
-                   float(policy.v_bl))
-            rails.setdefault(key, []).extend(
-                float(v) for v in policy.v_ssc_candidates(self.space)
-            )
-        grid_check = getattr(self.constraint, "satisfied_grid", None)
-        verdicts = {}
-        for (v_ddc, v_wl, v_bl), candidates in rails.items():
-            # First-seen order, deduplicated, one grid pass per rail set.
-            unique = list(dict.fromkeys(candidates))
-            if grid_check is not None:
-                mask = np.asarray(
-                    grid_check(v_ddc, unique, v_wl, v_bl), dtype=bool
-                )
-            else:
-                mask = np.array([
-                    bool(self.constraint.satisfied(v_ddc, v, v_wl, v_bl))
-                    for v in unique
-                ], dtype=bool)
-            verdicts[(v_ddc, v_wl, v_bl)] = dict(zip(unique, mask))
-        feasibles = []
-        for policy in policies:
-            lookup = verdicts[(float(policy.v_ddc), float(policy.v_wl),
-                               float(policy.v_bl))]
-            candidates = np.asarray(
-                [float(v) for v in policy.v_ssc_candidates(self.space)],
-                dtype=float,
-            )
-            keep = np.array([lookup[float(v)] for v in candidates],
-                            dtype=bool)
-            feasibles.append(candidates[keep])
-        return feasibles
 
     # -- engines -----------------------------------------------------------
 
@@ -391,226 +294,6 @@ class ExhaustiveOptimizer:
                     best = slice_best
         return best, landscape, n_evaluated
 
-    def _search_fused(self, capacity_bits, policy, keep_landscape):
-        """The whole feasible space in one 4-D broadcast: axes
-        ``(R, S, P, W)`` = (row counts, feasible V_SSC, N_pre, N_wr),
-        reduced with pure array ops.
-
-        The per-slice bests (one per ``(n_r, V_SSC)``) come from a
-        single reshaped ``argmin`` over the fin grid; the global best is
-        the argmin over those in C order, which reproduces the loop
-        engines' r-major/s-minor strict-``<`` improvement scan exactly.
-        """
-        feasible = self._feasible_v_ssc(policy)
-        landscape = []
-        if feasible.size == 0:
-            return None, landscape, 0
-        rows = np.asarray(self.space.row_counts(capacity_bits),
-                          dtype=np.int64)
-        n_pre_grid, n_wr_grid = np.meshgrid(
-            self.space.n_pre_values, self.space.n_wr_values, indexing="ij"
-        )
-        n_rows, n_slices = rows.size, feasible.size
-        grid_shape = n_pre_grid.shape
-        slice_shape = (n_slices,) + grid_shape
-        full_shape = (n_rows,) + slice_shape
-        # The fin axes go in *thin* — (P, 1) and (1, W) instead of the
-        # materialized (P, W) meshgrids — so every Table-1/2 intermediate
-        # keeps its minimal broadcast rank and only the final Eq.(2)-(5)
-        # combines run at full rank.  Broadcasting never changes a
-        # per-element value, so the results stay bit-identical.
-        design = DesignPoint(
-            n_r=rows.reshape(-1, 1, 1, 1),
-            n_c=(capacity_bits // rows).reshape(-1, 1, 1, 1),
-            n_pre=np.asarray(self.space.n_pre_values).reshape(-1, 1),
-            n_wr=np.asarray(self.space.n_wr_values).reshape(1, -1),
-            v_ddc=policy.v_ddc, v_ssc=feasible.reshape(1, -1, 1, 1),
-            v_wl=policy.v_wl, v_bl=policy.v_bl,
-        )
-        metrics = self.model.evaluate(capacity_bits, design)
-        n_evaluated = n_rows * n_slices * n_pre_grid.size
-        row_blocks = getattr(metrics, "row_blocks", None)
-        if row_blocks is not None:
-            # Blocked executor: reduce each cache-sized row slice
-            # directly — the full (R, S, P, W) arrays are never built.
-            args_parts, edp_parts = [], []
-            for row in row_blocks:
-                flat = np.ascontiguousarray(
-                    np.broadcast_to(row.edp, slice_shape)
-                ).reshape(n_slices, -1)
-                args = flat.argmin(axis=1)
-                args_parts.append(args)
-                edp_parts.append(np.take_along_axis(
-                    flat, args.reshape(-1, 1), axis=1
-                ).ravel())
-            cell_args = np.concatenate(args_parts)
-            slice_edp = np.concatenate(edp_parts)
-
-            def metric_at(name, r, s, i, j):
-                value = np.broadcast_to(
-                    getattr(row_blocks[r], name), slice_shape
-                )
-                return float(value[s, i, j])
-        else:
-            edp = np.ascontiguousarray(
-                np.broadcast_to(metrics.edp, full_shape)
-            )
-            flat = edp.reshape(n_rows * n_slices, -1)
-            cell_args = flat.argmin(axis=1)
-            slice_edp = np.take_along_axis(
-                flat, cell_args.reshape(-1, 1), axis=1
-            ).ravel()
-
-            def metric_at(name, r, s, i, j):
-                value = np.broadcast_to(getattr(metrics, name), full_shape)
-                return float(value[r, s, i, j])
-        best_slice = int(slice_edp.argmin())
-        i_idx, j_idx = np.unravel_index(cell_args, grid_shape)
-        slice_ids = np.arange(n_rows * n_slices)
-        r_idx = slice_ids // n_slices
-        s_idx = slice_ids % n_slices
-
-        def point(k):
-            r, s = int(r_idx[k]), int(s_idx[k])
-            i, j = int(i_idx[k]), int(j_idx[k])
-            return LandscapePoint(
-                n_r=int(rows[r]), v_ssc=float(feasible[s]),
-                n_pre=int(n_pre_grid[i, j]),
-                n_wr=int(n_wr_grid[i, j]),
-                edp=float(slice_edp[k]),
-                d_array=metric_at("d_array", r, s, i, j),
-                e_total=metric_at("e_total", r, s, i, j),
-            )
-
-        if keep_landscape:
-            landscape = [point(k) for k in range(n_rows * n_slices)]
-            best = landscape[best_slice]
-        else:
-            best = point(best_slice)
-        return best, landscape, n_evaluated
-
-    def _search_fused_many(self, capacity_bits, policies, feasibles,
-                           keep_landscape):
-        """Every policy's whole space in *one* broadcast: axes
-        ``(B, R, S, P, W)`` = (policies, row counts, padded V_SSC,
-        N_pre, N_wr), reduced per policy with pure array ops.
-
-        Each policy's feasible V_SSC set is padded to the batch's widest
-        (repeating its own first feasible value, so every padded slot is
-        in-domain); the per-policy reductions mask padded slots with
-        ``+inf``, and the surviving slots keep the exact r-major/s-minor
-        flat order of the per-policy fused search — argmin ties resolve
-        identically.  A rail whose value is shared by every policy rides
-        in as the plain scalar (broadcasting equal values is value-
-        neutral; the scalar keeps the reference arithmetic path).
-
-        Returns one ``(best, landscape, n_evaluated)`` triple per
-        policy, in input order.
-        """
-        rows = np.asarray(self.space.row_counts(capacity_bits),
-                          dtype=np.int64)
-        n_pre_grid, n_wr_grid = np.meshgrid(
-            self.space.n_pre_values, self.space.n_wr_values, indexing="ij"
-        )
-        n_batch = len(policies)
-        n_rows = rows.size
-        grid_shape = n_pre_grid.shape
-        s_max = max(feasible.size for feasible in feasibles)
-        v_ssc_pad = np.empty((n_batch, s_max), dtype=float)
-        for b, feasible in enumerate(feasibles):
-            v_ssc_pad[b, :feasible.size] = feasible
-            v_ssc_pad[b, feasible.size:] = feasible[0]
-
-        def rail_axis(values):
-            axis = np.asarray(values, dtype=float)
-            if np.all(axis == axis[0]):
-                return float(axis[0])
-            return axis.reshape(-1, 1, 1, 1, 1)
-
-        design = DesignPoint(
-            n_r=rows.reshape(-1, 1, 1, 1),
-            n_c=(capacity_bits // rows).reshape(-1, 1, 1, 1),
-            n_pre=np.asarray(self.space.n_pre_values).reshape(-1, 1),
-            n_wr=np.asarray(self.space.n_wr_values).reshape(1, -1),
-            v_ddc=rail_axis([p.v_ddc for p in policies]),
-            v_ssc=v_ssc_pad.reshape(n_batch, 1, s_max, 1, 1),
-            v_wl=rail_axis([p.v_wl for p in policies]),
-            v_bl=rail_axis([p.v_bl for p in policies]),
-        )
-        metrics = self.model.evaluate(capacity_bits, design)
-        batch_slice_shape = (n_batch, s_max) + grid_shape
-        row_blocks = getattr(metrics, "row_blocks", None)
-        if row_blocks is not None:
-            # Blocked executor: reduce each cache-sized row slice while
-            # it is resident — the (B, R, S, P, W) tensor never exists.
-            args_parts, edp_parts = [], []
-            for row in row_blocks:
-                flat = np.ascontiguousarray(
-                    np.broadcast_to(row.edp, batch_slice_shape)
-                ).reshape(n_batch * s_max, -1)
-                args = flat.argmin(axis=1)
-                args_parts.append(args.reshape(n_batch, s_max))
-                edp_parts.append(np.take_along_axis(
-                    flat, args.reshape(-1, 1), axis=1
-                ).reshape(n_batch, s_max))
-            cell_args = np.stack(args_parts, axis=1)   # (B, R, S)
-            slice_edp = np.stack(edp_parts, axis=1)    # (B, R, S)
-
-            def metric_at(name, b, r, s, i, j):
-                value = np.broadcast_to(
-                    getattr(row_blocks[r], name), batch_slice_shape
-                )
-                return float(value[b, s, i, j])
-        else:
-            full_shape = (n_batch, n_rows, s_max) + grid_shape
-            edp = np.ascontiguousarray(
-                np.broadcast_to(metrics.edp, full_shape)
-            )
-            flat = edp.reshape(n_batch * n_rows * s_max, -1)
-            args = flat.argmin(axis=1)
-            cell_args = args.reshape(n_batch, n_rows, s_max)
-            slice_edp = np.take_along_axis(
-                flat, args.reshape(-1, 1), axis=1
-            ).reshape(n_batch, n_rows, s_max)
-
-            def metric_at(name, b, r, s, i, j):
-                value = np.broadcast_to(getattr(metrics, name), full_shape)
-                return float(value[b, r, s, i, j])
-
-        pad_mask = np.arange(s_max).reshape(1, -1)  # (1, S) vs S_b
-        results = []
-        for b, (policy, feasible) in enumerate(zip(policies, feasibles)):
-            s_b = feasible.size
-
-            def point(r, s):
-                i, j = np.unravel_index(int(cell_args[b, r, s]),
-                                        grid_shape)
-                return LandscapePoint(
-                    n_r=int(rows[r]), v_ssc=float(feasible[s]),
-                    n_pre=int(n_pre_grid[i, j]),
-                    n_wr=int(n_wr_grid[i, j]),
-                    edp=float(slice_edp[b, r, s]),
-                    d_array=metric_at("d_array", b, r, s, i, j),
-                    e_total=metric_at("e_total", b, r, s, i, j),
-                )
-
-            # Padded slots never win: masked +inf keeps the valid slots'
-            # relative C order, so the argmin reproduces the per-policy
-            # engines' r-major/s-minor strict-< scan exactly.
-            masked = np.where(pad_mask < s_b, slice_edp[b], np.inf)
-            r_best, s_best = np.unravel_index(int(masked.argmin()),
-                                              (n_rows, s_max))
-            if keep_landscape:
-                landscape = [point(r, s)
-                             for r in range(n_rows) for s in range(s_b)]
-                best = landscape[int(r_best) * s_b + int(s_best)]
-            else:
-                landscape = []
-                best = point(int(r_best), int(s_best))
-            n_evaluated = n_rows * s_b * n_pre_grid.size
-            results.append((best, landscape, n_evaluated))
-        return results
-
     def _score_tiles(self, capacity_bits, policy, rows, feasible,
                      tile_ids, out):
         """Evaluate the full fin grid of the given flat tile ids
@@ -619,12 +302,9 @@ class ExhaustiveOptimizer:
         ``out`` dict keyed by tile id.  Returns the number of design
         points evaluated.
 
-        The gather rides the fused call shape restricted to surviving
-        tiles: ``n_r`` / ``n_c`` / ``v_ssc`` carry one element per tile
-        along a shared leading axis over the thin ``(P, 1) x (1, W)``
-        fin axes.  A gathered ``v_ssc`` varies *along* the row axis, so
-        the blocked executor never engages; instead the dispatch is
-        chunked here so one call's broadcast stays within the same
+        ``n_r`` / ``n_c`` / ``v_ssc`` carry one element per tile along a
+        shared leading axis over the thin ``(P, 1) x (1, W)`` fin axes.
+        The dispatch is chunked so one call's broadcast stays within the
         ``model.broadcast_block_elements`` working-set knob.  Chunking
         is value-neutral — every elementwise result is bit-identical to
         the scalar reference regardless of how tiles share a call.

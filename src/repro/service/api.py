@@ -26,7 +26,7 @@ from ..errors import ReproError
 
 FLAVORS = ("lvt", "hvt")
 METHODS = ("M1", "M2")
-SEARCH_ENGINES = ("fused", "pruned", "vectorized", "loop")
+SEARCH_ENGINES = ("pruned", "vectorized", "loop")
 CELL_ENGINES = ("batched", "loop")
 MC_METRICS = ("hsnm", "rsnm", "wm")
 
@@ -98,9 +98,7 @@ class OptimizeRequest:
 
     def group_key(self):
         """Same flavor/engine searches share one warm dispatch; the
-        method rides per-item, so a cell's voltage policies can fuse
-        into one policy-batched ``optimize_many`` evaluation when the
-        engine is ``"fused"``."""
+        method rides per item."""
         return ("optimize", self.flavor, self.engine)
 
     def item(self):

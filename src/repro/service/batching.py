@@ -7,10 +7,8 @@ first arrival starts a ``max_wait`` timer; the group flushes when the
 timer fires *or* the group reaches ``max_batch`` items, whichever comes
 first.  One flush becomes one worker dispatch — the whole batch crosses
 the executor boundary together, shares a warm session, and (for Monte
-Carlo and fused optimize requests) coalesces into a single vectorized
-solve.  Per-endpoint ``overrides`` tune ``max_batch`` / ``max_wait`` by
-request kind — e.g. let ``optimize`` wait a little longer to fill wider
-policy-batched dispatches while ``evaluate`` stays latency-biased.
+Carlo requests) coalesces into a single vectorized solve.  Every
+request kind uses the same ``max_batch`` / ``max_wait`` limits.
 
 Backpressure is a hard bound on in-flight items (queued plus
 executing): :meth:`enqueue` raises :class:`QueueFull` once ``max_pending``
@@ -55,7 +53,7 @@ class BatchQueue:
     """
 
     def __init__(self, dispatch, max_batch=8, max_wait=0.005,
-                 max_pending=64, on_batch=None, overrides=None):
+                 max_pending=64, on_batch=None):
         if max_batch <= 0:
             raise ValueError("max_batch must be positive")
         if max_wait < 0:
@@ -64,34 +62,6 @@ class BatchQueue:
         self.max_batch = int(max_batch)
         self.max_wait = float(max_wait)
         self.max_pending = int(max_pending)
-        # Per-endpoint-kind limit overrides: {kind: {"max_batch": int,
-        # "max_wait": float}} with either key optional.  A kind not
-        # listed uses the queue-wide limits.
-        self.overrides = {}
-        for kind, limits in (overrides or {}).items():
-            limits = dict(limits)
-            unknown = set(limits) - {"max_batch", "max_wait"}
-            if unknown:
-                raise ValueError(
-                    "unknown override keys for %r: %s"
-                    % (kind, ", ".join(sorted(unknown)))
-                )
-            if "max_batch" in limits:
-                limits["max_batch"] = int(limits["max_batch"])
-                if limits["max_batch"] <= 0:
-                    raise ValueError(
-                        "max_batch override for %r must be positive"
-                        % (kind,)
-                    )
-            if "max_wait" in limits:
-                limits["max_wait"] = float(limits["max_wait"])
-                if limits["max_wait"] < 0:
-                    raise ValueError(
-                        "max_wait override for %r must be non-negative"
-                        % (kind,)
-                    )
-            if limits:
-                self.overrides[kind] = limits
         self._on_batch = on_batch      # callback(kind, batch_size)
         self._groups = {}              # group_key -> [Entry]
         self._timers = {}              # group_key -> TimerHandle
@@ -106,16 +76,6 @@ class BatchQueue:
     @property
     def queued_groups(self):
         return len(self._groups)
-
-    def max_batch_for(self, kind):
-        """The flush size bound of one endpoint kind."""
-        return self.overrides.get(kind, {}).get("max_batch",
-                                                self.max_batch)
-
-    def max_wait_for(self, kind):
-        """The first-arrival timer of one endpoint kind [s]."""
-        return self.overrides.get(kind, {}).get("max_wait",
-                                                self.max_wait)
 
     def enqueue(self, group_key, item):
         """Queue one item; returns the future its result resolves.
@@ -136,12 +96,10 @@ class BatchQueue:
         self._pending += 1
         group = self._groups.setdefault(group_key, [])
         group.append(entry)
-        kind = group_key[0]
-        if len(group) >= self.max_batch_for(kind):
+        if len(group) >= self.max_batch:
             self._flush(group_key)
         elif len(group) == 1:
-            max_wait = self.max_wait_for(kind)
-            if max_wait == 0.0:
+            if self.max_wait == 0.0:
                 # Zero wait = batching off: still defer to a soon-call so
                 # same-iteration arrivals (already-scheduled callbacks)
                 # cannot starve, but never hold a request for a timer.
@@ -150,7 +108,7 @@ class BatchQueue:
                 )
             else:
                 self._timers[group_key] = loop.call_later(
-                    max_wait, self._flush, group_key
+                    self.max_wait, self._flush, group_key
                 )
         return entry.future
 

@@ -91,21 +91,6 @@ def _margin_fields(margins):
 # Per-kind group execution
 # ---------------------------------------------------------------------------
 
-def _optimize_entry(result, engine):
-    # The response body is the experiment store's canonical cell
-    # payload (json-safe copy), so a served answer, a study cell,
-    # and a durable-job cell all deduplicate under one store key.
-    # The exact-float original rides along for the server to
-    # persist; it never reaches the wire.
-    stored = result_to_payload(result)
-    response = payload_json_safe(stored)
-    response.pop("landscape", None)
-    response["engine"] = engine
-    entry = _ok(response)
-    entry["store_payload"] = stored
-    return entry
-
-
 def _optimize_group(session, job):
     flavor = job["flavor"]
     engine = job["engine"]
@@ -113,49 +98,29 @@ def _optimize_group(session, job):
         session.model(flavor), DesignSpace(), session.constraint(flavor)
     )
     levels = session.yield_levels(flavor)
-    items = job["items"]
-    policies = [make_policy(item["method"], levels) for item in items]
-    payloads = [None] * len(items)
-
-    def solo(index):
+    payloads = []
+    for item in job["items"]:
         perf.count("service.engine.optimize_searches")
         try:
             result = optimizer.optimize(
-                items[index]["capacity_bytes"] * 8, policies[index],
-                engine=engine,
+                item["capacity_bytes"] * 8,
+                make_policy(item["method"], levels), engine=engine,
             )
         except ReproError as exc:
-            payloads[index] = _failed(422, str(exc))
-        else:
-            payloads[index] = _optimize_entry(result, engine)
-
-    # Same-capacity fused requests score as one policy batch — one
-    # broadcast evaluation for the whole sub-group, bit-identical per
-    # request.  Any group-level failure (e.g. one infeasible policy
-    # aborts the batch before it evaluates) falls back to per-item
-    # searches so the failure stays per-item data, never poisoning
-    # batch-mates.
-    by_capacity = {}
-    for index, item in enumerate(items):
-        by_capacity.setdefault(item["capacity_bytes"], []).append(index)
-    for capacity_bytes, indices in by_capacity.items():
-        if engine != "fused" or len(indices) < 2:
-            for index in indices:
-                solo(index)
+            payloads.append(_failed(422, str(exc)))
             continue
-        try:
-            results = optimizer.optimize_many(
-                capacity_bytes * 8,
-                [policies[index] for index in indices],
-            )
-        except ReproError:
-            for index in indices:
-                solo(index)
-            continue
-        perf.count("service.engine.optimize_fused_dispatches")
-        perf.count("service.engine.optimize_searches", len(indices))
-        for index, result in zip(indices, results):
-            payloads[index] = _optimize_entry(result, engine)
+        # The response body is the experiment store's canonical cell
+        # payload (json-safe copy), so a served answer, a study cell,
+        # and a durable-job cell all deduplicate under one store key.
+        # The exact-float original rides along for the server to
+        # persist; it never reaches the wire.
+        stored = result_to_payload(result)
+        response = payload_json_safe(stored)
+        response.pop("landscape", None)
+        response["engine"] = engine
+        entry = _ok(response)
+        entry["store_payload"] = stored
+        payloads.append(entry)
     return payloads
 
 

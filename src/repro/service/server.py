@@ -74,7 +74,6 @@ from ..errors import JobError, ServiceError
 from ..jobs import JobQueue
 from ..jobs.worker import SessionProvider, normalize_study_spec, run_worker
 from ..opt import DesignSpace
-from ..shm import SessionArena
 from ..store import (
     ExperimentStore,
     make_provenance,
@@ -99,11 +98,6 @@ class ServiceConfig:
     max_batch: int = 8            # flush a group at this many items
     max_wait_ms: float = 5.0      # ... or this long after its first item
     max_pending: int = 64         # queued+executing bound (429 beyond)
-    #: Per-endpoint batching overrides, {kind: {"max_batch": int,
-    #: "max_wait_ms": float}} with either key optional — e.g. widen the
-    #: optimize window so fused policy batches fill up while evaluate
-    #: stays latency-biased.  None = queue-wide limits everywhere.
-    endpoint_overrides: dict = None
     cache_entries: int = 256      # result-cache LRU capacity
     cache_ttl: float = 300.0      # result-cache TTL [s]; None = no expiry
     cache_path: str = DEFAULT_CACHE_PATH
@@ -144,27 +138,12 @@ class ServiceConfig:
             host = "127.0.0.1"
         return "http://%s:%d" % (host, port)
 
-    def batch_overrides(self):
-        """The per-kind overrides in :class:`BatchQueue` units
-        (``max_wait_ms`` becomes ``max_wait`` seconds)."""
-        overrides = {}
-        for kind, limits in (self.endpoint_overrides or {}).items():
-            converted = {}
-            if "max_batch" in limits:
-                converted["max_batch"] = limits["max_batch"]
-            if "max_wait_ms" in limits:
-                converted["max_wait"] = limits["max_wait_ms"] / 1e3
-            if converted:
-                overrides[kind] = converted
-        return overrides
-
 
 def _job_from_group(group_key, items):
     """Rebuild the plain-data job a worker executes from a batch."""
     kind = group_key[0]
     if kind in ("optimize", "pareto", "yield"):
-        # The method rides per-item (it is not part of the group key),
-        # so one fused dispatch can policy-batch a cell's methods.
+        # The method rides per item (it is not part of the group key).
         _, flavor, engine = group_key
         return {"kind": kind, "flavor": flavor, "engine": engine,
                 "items": items}
@@ -191,7 +170,6 @@ class OptimizationServer:
         self._flight = Singleflight()
         self._batcher = None
         self._pool = None
-        self._arena = None          # SessionArena for process workers
         self._server = None
         self._writers = set()
         self._conn_tasks = set()
@@ -230,21 +208,13 @@ class OptimizationServer:
             )
         workers = config.resolved_workers()
         if config.executor == "process":
-            memos = warm_margin_memos(self.session)
-            # Publish the warm session once; each forked worker maps it
-            # zero-copy instead of re-reading the characterization
-            # cache.  Best-effort: on failure workers cold-build.
-            try:
-                self._arena = SessionArena.publish(self.session, memos)
-            except Exception:
-                self._arena = None
+            # Each forked worker builds its session from the warm
+            # characterization cache, seeded with the parent's margins.
             self._pool = ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=worker_init,
                 initargs=(config.cache_path or None, config.voltage_mode,
-                          DesignSpace(), memos,
-                          self._arena.name if self._arena is not None
-                          else None),
+                          DesignSpace(), warm_margin_memos(self.session)),
             )
         else:
             self._pool = ThreadPoolExecutor(
@@ -256,7 +226,6 @@ class OptimizationServer:
             max_wait=config.max_wait_ms / 1e3,
             max_pending=config.max_pending,
             on_batch=self.metrics.observe_batch,
-            overrides=config.batch_overrides(),
         )
         # Bind before serving: the listen port is this replica's ring
         # identity, and the fleet/store/jobs plumbing must exist before
@@ -380,9 +349,6 @@ class OptimizationServer:
                 await loop.run_in_executor(None, thread.join, 60)
         if self._pool is not None:
             self._pool.shutdown(wait=True)
-        if self._arena is not None:
-            self._arena.dispose()
-            self._arena = None
         if self.fleet is not None:
             self.fleet.close()
         if self.store is not None and hasattr(self.store, "close"):
@@ -869,15 +835,16 @@ class OptimizationServer:
         if max_attempts < 1:
             return 400, {"error": "max_attempts must be >= 1"}, {}
         loop = asyncio.get_running_loop()
-        job_id = await loop.run_in_executor(
+        # The 202 reports the row this submit committed: a job worker
+        # may claim the job before a separate read could run.
+        job = await loop.run_in_executor(
             None, lambda: self.jobs.submit(kind, spec, priority,
                                            max_attempts))
-        job = await loop.run_in_executor(None, self.jobs.get, job_id)
-        logger.debug("job %s submitted (%d cells) rid=%s", job_id,
+        logger.debug("job %s submitted (%d cells) rid=%s", job.id,
                      len(spec["capacities"]) * len(spec["flavors"])
                      * len(spec["methods"]), request_id)
         return 202, job.to_payload(), \
-            {"Location": "/v1/jobs/%s" % job_id}
+            {"Location": "/v1/jobs/%s" % job.id}
 
     def _sweep_payload(self, result_key):
         """The JSON view of a finished sweep (spec + per-cell results)."""
@@ -1025,11 +992,6 @@ class OptimizationServer:
                 "max_batch": self.config.max_batch,
                 "max_wait_ms": self.config.max_wait_ms,
                 "max_pending": self.config.max_pending,
-                "endpoint_overrides": {
-                    kind: dict(limits)
-                    for kind, limits in
-                    (self.config.endpoint_overrides or {}).items()
-                },
             },
         }
         gauges = {}

@@ -151,31 +151,31 @@ def test_engine_parity_through_runner(paper_session):
     ("thread", 2),
     ("process", 2),
 ])
-def test_fused_engine_policy_batches_cells(paper_session, executor,
-                                           workers):
-    """The fused engine scores each (flavor, capacity) cell's methods
-    in one policy-batched dispatch; the sweep stays bit-identical to
-    the per-task vectorized run and the per-task telemetry intact."""
+def test_pruned_engine_runs_one_task_per_dispatch(paper_session, executor,
+                                                  workers):
+    """Every engine dispatches one task at a time: the pruned sweep
+    matches the vectorized one and each task's telemetry is its own
+    search's (n_evaluated equals that task's result)."""
     vec = run_study(session=paper_session, capacities=CAPACITIES,
                     workers=1, engine="vectorized")
-    fused = run_study(session=paper_session, capacities=CAPACITIES,
-                      workers=workers, executor=executor, engine="fused")
-    assert _edp_map(fused.sweep) == _edp_map(vec.sweep)
+    pruned = run_study(session=paper_session, capacities=CAPACITIES,
+                       workers=workers, executor=executor,
+                       engine="pruned")
+    assert _edp_map(pruned.sweep) == _edp_map(vec.sweep)
     tasks = study_matrix(CAPACITIES)
-    assert [t.task for t in fused.timings] == list(tasks)
-    for key, result in fused.sweep.results.items():
+    assert [t.task for t in pruned.timings] == list(tasks)
+    for key, result in pruned.sweep.results.items():
         assert result.design == vec.sweep.results[key].design
-        assert result.n_evaluated == vec.sweep.results[key].n_evaluated
-    for timing in fused.timings:
+    for timing in pruned.timings:
         assert timing.seconds > 0
-        assert timing.n_evaluated > 0
+        result = pruned.sweep.results[timing.task.key]
+        assert timing.n_evaluated == result.n_evaluated > 0
 
 
-def test_fused_engine_failure_names_the_unit(paper_session):
-    """A fused policy batch that dies names its whole cell — both
-    methods rode one dispatch, so the cell is the faulty grain."""
+def test_pruned_engine_failure_names_the_task(paper_session):
+    """A failing task names its own matrix cell, one method only."""
     with pytest.raises(StudyTaskError) as excinfo:
         run_study(session=paper_session, capacities=CAPACITIES,
-                  workers=1, engine="fused", space=PoisonedSpace())
-    assert excinfo.value.task_label == "256B/LVT/M1+M2"
+                  workers=1, engine="pruned", space=PoisonedSpace())
+    assert excinfo.value.task_label == "256B/LVT/M1"
     assert "injected mid-study fault" in str(excinfo.value)

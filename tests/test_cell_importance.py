@@ -232,6 +232,32 @@ class TestAdaptiveBudget:
         assert not est.converged
         assert est.n_samples == 4 * BLOCK
 
+    def test_converged_is_computed_never_defaulted(self):
+        """A plain estimate checked no CI target and says so (None);
+        no summary reports convergence its CI does not meet."""
+        ci_target = 0.1
+        floor = floor_at(1e-3)
+        buffer = TailSampleBuffer(linear_solver(), sampler="shifted",
+                                  sigma_vt=SIGMA, seed=0,
+                                  search_floor=floor)
+        buffer.prepare()
+        buffer.ensure(2 * BLOCK)
+        plain = buffer.estimate(floor)
+        assert plain.converged is None
+        assert plain.summary()["converged"] is None
+        summaries = [plain.summary()]
+        for sampler in SAMPLERS:
+            for max_samples in (2 * BLOCK, 16384):
+                summaries.append(estimate_tail(
+                    linear_solver(), floor, sampler=sampler,
+                    sigma_vt=SIGMA, ci_target=ci_target,
+                    max_samples=max_samples, seed=1).summary())
+        assert any(s["converged"] is True for s in summaries)
+        assert any(s["converged"] is False for s in summaries)
+        for summary in summaries:
+            if summary["converged"] is True:
+                assert summary["rel_ci"] <= ci_target
+
     def test_zero_observed_tail_reports_zero_with_bound(self):
         est = estimate_tail(linear_solver(), -10.0, sampler="naive",
                             sigma_vt=SIGMA, ci_target=0.1,

@@ -96,3 +96,25 @@ def test_cli_headline_measured_mode(capsys):
                    "--voltage-mode", "measured"])
     assert rc == 0
     assert "EDP" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["table4"], ["pareto"], ["yield"], ["jobs", "submit"],
+])
+def test_cli_rejects_removed_engine(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli_main(argv + ["--engine", "fused"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'fused'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["serve", "--endpoint-max-batch", "optimize=8"],
+    ["serve", "--endpoint-max-wait-ms", "optimize=50"],
+    ["jobs", "work", "--arena", "psm_session"],
+])
+def test_cli_rejects_removed_flags(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli_main(argv)
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -15,8 +15,11 @@ def queue(tmp_path):
 
 
 def test_submit_and_get(queue):
-    job_id = queue.submit("study", {"capacities": [128]})
+    submitted = queue.submit("study", {"capacities": [128]})
+    job_id = submitted.id
     job = queue.get(job_id)
+    # submit() returns exactly the row its transaction committed.
+    assert job == submitted
     assert job.id == job_id
     assert job.kind == "study"
     assert job.spec == {"capacities": [128]}
@@ -45,7 +48,7 @@ def test_claim_empty_queue_returns_none(queue):
 
 
 def test_claim_marks_running_with_lease(queue):
-    job_id = queue.submit("study", {})
+    job_id = queue.submit("study", {}).id
     job = queue.claim("w1", lease_seconds=30.0)
     assert job.id == job_id
     assert job.state == "running"
@@ -57,20 +60,20 @@ def test_claim_marks_running_with_lease(queue):
 
 
 def test_claim_fifo_within_priority(queue):
-    first = queue.submit("study", {"n": 1})
-    second = queue.submit("study", {"n": 2})
+    first = queue.submit("study", {"n": 1}).id
+    second = queue.submit("study", {"n": 2}).id
     assert queue.claim("w").id == first
     assert queue.claim("w").id == second
 
 
 def test_priority_beats_age(queue):
     queue.submit("study", {"n": "old"})
-    urgent = queue.submit("study", {"n": "urgent"}, priority=10)
+    urgent = queue.submit("study", {"n": "urgent"}, priority=10).id
     assert queue.claim("w").id == urgent
 
 
 def test_heartbeat_extends_lease_and_records_progress(queue):
-    job_id = queue.submit("study", {})
+    job_id = queue.submit("study", {}).id
     queue.claim("w1", lease_seconds=5.0)
     assert queue.heartbeat(job_id, "w1", lease_seconds=60.0,
                            progress={"completed": 3, "total": 16})
@@ -80,7 +83,7 @@ def test_heartbeat_extends_lease_and_records_progress(queue):
 
 
 def test_heartbeat_fails_for_wrong_worker_or_state(queue):
-    job_id = queue.submit("study", {})
+    job_id = queue.submit("study", {}).id
     queue.claim("w1")
     assert not queue.heartbeat(job_id, "w2", 30.0)
     queue.cancel(job_id)
@@ -88,7 +91,7 @@ def test_heartbeat_fails_for_wrong_worker_or_state(queue):
 
 
 def test_complete(queue):
-    job_id = queue.submit("study", {})
+    job_id = queue.submit("study", {}).id
     queue.claim("w1")
     assert queue.complete(job_id, "w1", result_key="sweep-abc")
     job = queue.get(job_id)
@@ -99,7 +102,7 @@ def test_complete(queue):
 
 
 def test_complete_fails_after_ownership_lost(queue):
-    job_id = queue.submit("study", {})
+    job_id = queue.submit("study", {}).id
     queue.claim("w1")
     queue.cancel(job_id)
     assert not queue.complete(job_id, "w1")
@@ -107,17 +110,17 @@ def test_complete_fails_after_ownership_lost(queue):
 
 
 def test_cancel_queued_and_running(queue):
-    queued = queue.submit("study", {})
+    queued = queue.submit("study", {}).id
     assert queue.cancel(queued)
     assert queue.get(queued).state == "cancelled"
-    running = queue.submit("study", {})
+    running = queue.submit("study", {}).id
     queue.claim("w1")
     assert queue.cancel(running)
     assert queue.get(running).state == "cancelled"
 
 
 def test_cancel_terminal_returns_false(queue):
-    job_id = queue.submit("study", {})
+    job_id = queue.submit("study", {}).id
     queue.claim("w1")
     queue.complete(job_id, "w1")
     assert queue.cancel(job_id) is False
@@ -129,7 +132,7 @@ def test_cancel_missing_raises(queue):
 
 
 def test_fail_requeues_until_attempts_exhausted(queue):
-    job_id = queue.submit("study", {}, max_attempts=2)
+    job_id = queue.submit("study", {}, max_attempts=2).id
     queue.claim("w1")
     assert queue.fail(job_id, "w1", "boom 1") == "queued"
     assert queue.get(job_id).state == "queued"
@@ -142,7 +145,7 @@ def test_fail_requeues_until_attempts_exhausted(queue):
 
 
 def test_fail_by_non_owner_is_ignored(queue):
-    job_id = queue.submit("study", {})
+    job_id = queue.submit("study", {}).id
     queue.claim("w1")
     assert queue.fail(job_id, "w2", "not mine") is None
     assert queue.get(job_id).state == "running"
@@ -151,7 +154,7 @@ def test_fail_by_non_owner_is_ignored(queue):
 def test_expired_lease_is_requeued_on_next_claim(queue):
     """The crash-recovery core: a dead worker's job goes back to the
     queue as soon as any worker claims, no janitor required."""
-    job_id = queue.submit("study", {})
+    job_id = queue.submit("study", {}).id
     queue.claim("w1", lease_seconds=0.02)
     time.sleep(0.05)
     job = queue.claim("w2", lease_seconds=30.0)
@@ -164,7 +167,7 @@ def test_expired_lease_is_requeued_on_next_claim(queue):
 
 
 def test_expired_lease_with_exhausted_attempts_fails(queue):
-    job_id = queue.submit("study", {}, max_attempts=1)
+    job_id = queue.submit("study", {}, max_attempts=1).id
     queue.claim("w1", lease_seconds=0.02)
     time.sleep(0.05)
     assert queue.claim("w2") is None
@@ -174,7 +177,7 @@ def test_expired_lease_with_exhausted_attempts_fails(queue):
 
 
 def test_list_jobs_filtering(queue):
-    a = queue.submit("study", {})
+    a = queue.submit("study", {}).id
     queue.submit("study", {})
     queue.claim("w1")
     assert {job.id for job in queue.list_jobs(state="running")} == {a}
@@ -186,7 +189,7 @@ def test_list_jobs_filtering(queue):
 
 def test_queue_is_durable_across_instances(tmp_path):
     path = str(tmp_path / "jobs.db")
-    job_id = JobQueue(path).submit("study", {"capacities": [128]})
+    job_id = JobQueue(path).submit("study", {"capacities": [128]}).id
     job = JobQueue(path).get(job_id)
     assert job.state == "queued"
     assert job.spec == {"capacities": [128]}
@@ -219,7 +222,7 @@ def test_concurrent_claims_hand_out_each_job_once(queue):
 def test_job_payload_is_jsonable(queue):
     import json
 
-    job_id = queue.submit("study", {"capacities": [128]})
+    job_id = queue.submit("study", {"capacities": [128]}).id
     payload = queue.get(job_id).to_payload()
     assert json.loads(json.dumps(payload))["id"] == job_id
     assert payload["state"] == "queued"

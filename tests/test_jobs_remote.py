@@ -79,7 +79,7 @@ def test_malformed_lease_tokens_raise(bogus):
 # ---------------------------------------------------------------------------
 
 def test_remote_claim_lifecycle(remote):
-    job_id = remote.submit("study", SPEC)
+    job_id = remote.submit("study", SPEC).id
     job = remote.claim("remote-w1", lease_seconds=30.0)
     assert job is not None and job.id == job_id
     assert job.state == "running" and job.attempts == 1
@@ -99,7 +99,7 @@ def test_remote_claim_returns_none_when_idle(remote):
 
 
 def test_remote_fail_retries_then_parks(remote):
-    job_id = remote.submit("study", SPEC, max_attempts=2)
+    job_id = remote.submit("study", SPEC, max_attempts=2).id
     remote.claim("remote-w1", lease_seconds=30.0)
     assert remote.fail(job_id, "remote-w1", "boom") == "queued"
     remote.claim("remote-w1", lease_seconds=30.0)
@@ -114,7 +114,7 @@ def test_remote_fail_retries_then_parks(remote):
 def test_stale_lease_complete_rejected_and_job_reclaimed(service):
     url = "http://127.0.0.1:%d" % service.port
     with RemoteJobQueue(url) as stale, RemoteJobQueue(url) as fresh:
-        job_id = stale.submit("study", SPEC)
+        job_id = stale.submit("study", SPEC).id
         stale_job = stale.claim("worker-stale", lease_seconds=0.3)
         assert stale_job is not None
         time.sleep(0.5)        # lease expires server-side
@@ -144,7 +144,7 @@ def test_stale_lease_rejected_for_same_worker_identity(service):
     its own expired job: the old claim handle's token is dead."""
     url = "http://127.0.0.1:%d" % service.port
     with RemoteJobQueue(url) as old, RemoteJobQueue(url) as new:
-        job_id = old.submit("study", SPEC)
+        job_id = old.submit("study", SPEC).id
         assert old.claim("worker-x", lease_seconds=0.3) is not None
         time.sleep(0.5)
         assert new.claim("worker-x", lease_seconds=30.0) is not None
@@ -160,7 +160,7 @@ def test_concurrent_remote_claims_never_double_claim(service):
     url = "http://127.0.0.1:%d" % service.port
     n_jobs = 8
     with RemoteJobQueue(url) as producer:
-        submitted = {producer.submit("study", SPEC, priority=i)
+        submitted = {producer.submit("study", SPEC, priority=i).id
                      for i in range(n_jobs)}
 
     claimed = {"a": [], "b": []}
@@ -218,7 +218,7 @@ def test_run_worker_drains_remote_queue(service, paper_session,
     provider = SessionProvider(default_cache_path=CACHE_PATH)
     provider.seed(paper_session, cache_path=CACHE_PATH)
     with RemoteJobQueue(url) as remote:
-        job_id = remote.submit("study", SPEC)
+        job_id = remote.submit("study", SPEC).id
         store = ExperimentStore(str(tmp_path / "worker-store.db"))
         stats = run_worker(queue=remote, store=store,
                            worker_id="remote-loop", once=True,

@@ -100,7 +100,7 @@ def db_path(tmp_path):
 def test_worker_runs_job_and_stores_sweep(db_path, warm_sessions,
                                           paper_session):
     queue = JobQueue(db_path)
-    job_id = queue.submit("study", SPEC)
+    job_id = queue.submit("study", SPEC).id
     stats = run_worker(db_path, once=True, poll_interval=0.05,
                        sessions=warm_sessions, worker_id="t-w1")
     assert stats.jobs_done == 1
@@ -137,7 +137,7 @@ def test_resubmitted_job_skips_stored_cells(db_path, warm_sessions):
     # Same matrix, scrambled spelling -> same keys -> all cells skipped.
     second = queue.submit("study", {"capacities": [128],
                                     "flavors": ["lvt"],
-                                    "methods": ["M2", "M1"]})
+                                    "methods": ["M2", "M1"]}).id
     stats = run_worker(db_path, once=True, poll_interval=0.05,
                        sessions=warm_sessions)
     assert stats.jobs_done == 1
@@ -173,7 +173,7 @@ def test_partial_checkpoint_resume_computes_only_missing(
 def test_cancelled_job_is_lost_not_done(db_path, warm_sessions):
     queue = JobQueue(db_path)
     store = ExperimentStore(db_path)
-    job_id = queue.submit("study", SPEC)
+    job_id = queue.submit("study", SPEC).id
     job = queue.claim("t-w1")
     queue.cancel(job_id)
     outcome = execute_study_job(job, queue, store, "t-w1",
@@ -184,7 +184,7 @@ def test_cancelled_job_is_lost_not_done(db_path, warm_sessions):
 
 def test_unknown_job_kind_fails(db_path, warm_sessions):
     queue = JobQueue(db_path)
-    job_id = queue.submit("telepathy", {}, max_attempts=1)
+    job_id = queue.submit("telepathy", {}, max_attempts=1).id
     stats = run_worker(db_path, once=True, poll_interval=0.05,
                        sessions=warm_sessions)
     assert stats.jobs_failed == 1
@@ -195,11 +195,25 @@ def test_unknown_job_kind_fails(db_path, warm_sessions):
 
 def test_invalid_spec_fails_the_job(db_path, warm_sessions):
     queue = JobQueue(db_path)
-    job_id = queue.submit("study", {"capacities": [100]}, max_attempts=1)
+    job_id = queue.submit("study", {"capacities": [100]}, max_attempts=1).id
     stats = run_worker(db_path, once=True, poll_interval=0.05,
                        sessions=warm_sessions)
     assert stats.jobs_failed == 1
     assert "powers of two" in queue.get(job_id).error
+
+
+def test_queued_job_with_removed_engine_fails(db_path, warm_sessions):
+    """A job queued before its engine was removed fails with a typed
+    JobError on every attempt; the worker keeps running."""
+    queue = JobQueue(db_path)
+    job_id = queue.submit("study", dict(SPEC, engine="fused")).id
+    stats = run_worker(db_path, max_jobs=3, poll_interval=0.05,
+                       sessions=warm_sessions)
+    assert stats.jobs_failed == 3
+    job = queue.get(job_id)
+    assert job.state == "failed"
+    assert job.error.startswith("JobError: ")
+    assert "'fused'" in job.error
 
 
 def test_max_jobs_limits_the_loop(db_path, warm_sessions):

@@ -1,14 +1,15 @@
-"""Fused full-space engine equivalence (the tentpole's contract).
+"""Study-matrix parity of the search engines against the loop oracle,
+and of :meth:`ExhaustiveOptimizer.optimize_many` against per-policy
+searches.
 
-The fused engine evaluates one policy's entire ``n_r x V_SSC x N_pre x
-N_wr`` space in a *single* broadcast ``model.evaluate`` call.  It must
-return bit-identical results to both the reference slice loop and the
-per-row vectorized engine — same design, same EDP, same evaluation
-count, same landscape — over every cell of the paper's study matrix,
-through both the unblocked 4-D path and the cache-blocked executor.
+The production engines (``vectorized`` and ``pruned``) must return
+bit-identical results to the reference slice loop — same design, same
+EDP, same evaluation count, same landscape — over every cell of the
+paper's study matrix.  ``optimize_many`` is a per-policy loop, so its
+results must equal per-policy :meth:`~ExhaustiveOptimizer.optimize`
+calls through each engine.
 """
 
-import numpy as np
 import pytest
 
 from repro.analysis.experiments import (
@@ -16,7 +17,6 @@ from repro.analysis.experiments import (
     FLAVORS,
     METHODS,
 )
-from repro.errors import DesignSpaceError
 from repro.opt import DesignSpace, ExhaustiveOptimizer, make_policy
 
 #: The full 20-cell study matrix (5 capacities x 2 flavors x 2 methods).
@@ -26,25 +26,6 @@ STUDY_CELLS = [
     for method in METHODS
     for capacity in CAPACITIES_BYTES
 ]
-
-
-class CountingModel:
-    """Pass-through model wrapper tallying evaluate() calls by kind."""
-
-    def __init__(self, model):
-        self._model = model
-        self.broadcast_calls = 0
-        self.scalar_calls = 0
-
-    def __getattr__(self, name):
-        return getattr(self._model, name)
-
-    def evaluate(self, capacity_bits, design):
-        if np.ndim(design.n_r) > 0:
-            self.broadcast_calls += 1
-        else:
-            self.scalar_calls += 1
-        return self._model.evaluate(capacity_bits, design)
 
 
 def _optimize(paper_session, flavor, method, capacity_bytes, engine,
@@ -77,64 +58,18 @@ def test_three_way_parity_on_study_matrix(paper_session, flavor, method,
                      "loop")
     vec = _optimize(paper_session, flavor, method, capacity_bytes,
                     "vectorized")
-    fused = _optimize(paper_session, flavor, method, capacity_bytes,
-                      "fused")
-    _assert_identical(fused, loop)
+    pruned = _optimize(paper_session, flavor, method, capacity_bytes,
+                       "pruned")
     _assert_identical(vec, loop)
-
-
-@pytest.mark.parametrize("flavor,method,capacity_bytes",
-                         [("hvt", "M2", 16384), ("lvt", "M1", 128)])
-def test_fused_search_is_one_model_call(paper_session, flavor, method,
-                                        capacity_bytes):
-    model = CountingModel(paper_session.model(flavor))
-    result = _optimize(paper_session, flavor, method, capacity_bytes,
-                       "fused", model=model)
-    # One broadcast call covers the whole feasible space; the only
-    # other evaluation is the scalar re-evaluation of the winner.
-    assert model.broadcast_calls == 1
-    assert model.scalar_calls == 1
-    assert result.n_evaluated > 0
-
-
-@pytest.mark.parametrize("block_elements", [1, 10 ** 9])
-def test_fused_blocked_and_unblocked_match_loop(paper_session,
-                                                block_elements):
-    loop = _optimize(paper_session, "hvt", "M2", 1024, "loop")
-    model = paper_session.model("hvt")
-    model.broadcast_block_elements = block_elements
-    fused = _optimize(paper_session, "hvt", "M2", 1024, "fused",
-                      model=model)
-    _assert_identical(fused, loop)
-
-
-def test_fused_infeasible_space_raises(paper_session):
-    class Infeasible:
-        flavor = "hvt"
-
-        def satisfied_grid(self, v_ddc, v_ssc_values, v_wl, v_bl=0.0):
-            return np.zeros(len(v_ssc_values), dtype=bool)
-
-        def satisfied(self, *args, **kwargs):
-            return False
-
-        def margins(self, *args, **kwargs):
-            return (0.0, 0.0, 0.0)
-
-    optimizer = ExhaustiveOptimizer(
-        paper_session.model("hvt"), DesignSpace(), Infeasible()
-    )
-    policy = make_policy("M2", paper_session.yield_levels("hvt"))
-    with pytest.raises(DesignSpaceError):
-        optimizer.optimize(1024 * 8, policy, engine="fused")
+    _assert_identical(pruned, loop)
 
 
 # ---------------------------------------------------------------------------
-# Policy-batched optimize_many (one dispatch per cell's policy set)
+# optimize_many (one search per policy)
 # ---------------------------------------------------------------------------
 
-#: The 10 (flavor, capacity) cells; each one policy-batches all METHODS,
-#: so together they still cover the full 20-cell study matrix.
+#: The 10 (flavor, capacity) cells; each one runs all METHODS, so
+#: together they still cover the full 20-cell study matrix.
 POLICY_BATCH_CELLS = [
     (flavor, capacity)
     for flavor in FLAVORS
@@ -142,7 +77,8 @@ POLICY_BATCH_CELLS = [
 ]
 
 
-def _optimize_many(paper_session, flavor, capacity_bytes, model=None):
+def _optimize_many(paper_session, flavor, capacity_bytes, engine,
+                   model=None):
     model = model or paper_session.model(flavor)
     optimizer = ExhaustiveOptimizer(
         model, DesignSpace(), paper_session.constraint(flavor)
@@ -150,29 +86,21 @@ def _optimize_many(paper_session, flavor, capacity_bytes, model=None):
     levels = paper_session.yield_levels(flavor)
     policies = [make_policy(method, levels) for method in METHODS]
     return optimizer.optimize_many(capacity_bytes * 8, policies,
-                                   keep_landscape=True)
+                                   keep_landscape=True, engine=engine)
 
 
 @pytest.mark.parametrize("flavor,capacity_bytes", POLICY_BATCH_CELLS)
 def test_optimize_many_parity_on_study_matrix(paper_session, flavor,
                                               capacity_bytes):
-    batched = _optimize_many(paper_session, flavor, capacity_bytes)
-    assert len(batched) == len(METHODS)
-    for method, result in zip(METHODS, batched):
-        for engine in ("loop", "vectorized", "fused"):
+    for engine in ("vectorized", "pruned"):
+        many = _optimize_many(paper_session, flavor, capacity_bytes,
+                              engine)
+        assert len(many) == len(METHODS)
+        for method, result in zip(METHODS, many):
+            assert result.method == method
             ref = _optimize(paper_session, flavor, method,
                             capacity_bytes, engine)
             _assert_identical(result, ref)
-
-
-def test_optimize_many_is_one_broadcast_call(paper_session):
-    model = CountingModel(paper_session.model("hvt"))
-    results = _optimize_many(paper_session, "hvt", 16384, model=model)
-    # One broadcast call scores every policy's whole space at once; the
-    # only scalar calls are each winner's final re-evaluation.
-    assert model.broadcast_calls == 1
-    assert model.scalar_calls == len(METHODS)
-    assert all(result.n_evaluated > 0 for result in results)
 
 
 @pytest.mark.parametrize("block_elements", [1, 10 ** 9])
@@ -182,24 +110,13 @@ def test_optimize_many_blocked_and_unblocked_match_loop(paper_session,
     original = model.broadcast_block_elements
     model.broadcast_block_elements = block_elements
     try:
-        batched = _optimize_many(paper_session, "hvt", 1024, model=model)
+        many = _optimize_many(paper_session, "hvt", 1024, "pruned",
+                              model=model)
     finally:
         model.broadcast_block_elements = original
-    for method, result in zip(METHODS, batched):
+    for method, result in zip(METHODS, many):
         ref = _optimize(paper_session, "hvt", method, 1024, "loop")
         _assert_identical(result, ref)
-
-
-def test_optimize_many_rejects_non_fused_engines(paper_session):
-    optimizer = ExhaustiveOptimizer(
-        paper_session.model("hvt"), DesignSpace(),
-        paper_session.constraint("hvt")
-    )
-    levels = paper_session.yield_levels("hvt")
-    policies = [make_policy(method, levels) for method in METHODS]
-    for engine in ("loop", "vectorized"):
-        with pytest.raises(ValueError):
-            optimizer.optimize_many(1024 * 8, policies, engine=engine)
 
 
 def test_optimize_many_empty_policy_list(paper_session):

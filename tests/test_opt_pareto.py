@@ -188,17 +188,18 @@ def _pareto(paper_session, flavor, method, capacity_bytes, engine):
 def test_pruned_pareto_matches_landscape_front(paper_session, flavor,
                                                method, capacity_bytes):
     """The incremental pruned front equals the batch front of the full
-    landscape (computed by the fused fallback) on every study cell."""
+    landscape (computed by the vectorized fallback) on every study
+    cell."""
     pruned = _pareto(paper_session, flavor, method, capacity_bytes,
                      "pruned")
-    fused = _pareto(paper_session, flavor, method, capacity_bytes,
-                    "fused")
-    assert pruned.front == fused.front
-    assert pruned.n_tiles == fused.n_tiles
-    assert pruned.engine == "pruned" and fused.engine == "fused"
-    assert fused.tiles_pruned == 0
+    full = _pareto(paper_session, flavor, method, capacity_bytes,
+                   "vectorized")
+    assert pruned.front == full.front
+    assert pruned.n_tiles == full.n_tiles
+    assert pruned.engine == "pruned" and full.engine == "vectorized"
+    assert full.tiles_pruned == 0
     assert 0 <= pruned.tiles_pruned < pruned.n_tiles
-    assert pruned.n_evaluated <= fused.n_evaluated
+    assert pruned.n_evaluated <= full.n_evaluated
 
 
 def test_pareto_front_members_are_feasible_landscape_points(
@@ -209,7 +210,7 @@ def test_pareto_front_members_are_feasible_landscape_points(
     )
     policy = make_policy("M2", paper_session.yield_levels("hvt"))
     result = optimizer.optimize(16384 * 8, policy, keep_landscape=True,
-                                engine="fused")
+                                engine="vectorized")
     sweep = optimizer.pareto(16384 * 8, policy, engine="pruned")
     landscape = {(p.n_r, p.v_ssc, p.n_pre, p.n_wr): p
                  for p in result.landscape}
@@ -226,7 +227,7 @@ def test_best_weighted_unit_exponents_recover_edp_optimum(paper_session):
     policy = make_policy("M2", paper_session.yield_levels("hvt"))
     sweep = optimizer.pareto(16384 * 8, policy, engine="pruned")
     best = best_weighted(sweep.front, 1.0, 1.0)
-    direct = optimizer.optimize(16384 * 8, policy, engine="fused")
+    direct = optimizer.optimize(16384 * 8, policy, engine="vectorized")
     assert best.edp == direct.metrics.edp
     assert best.n_r == direct.design.n_r
     assert best.n_pre == direct.design.n_pre

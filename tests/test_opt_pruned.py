@@ -132,7 +132,7 @@ def test_bounds_are_admissible(paper_session):
     bounds = tile_lower_bounds(optimizer.model, optimizer.space,
                                capacity_bits, policy, feasible)
     result = optimizer.optimize(capacity_bits, policy,
-                                keep_landscape=True, engine="fused")
+                                keep_landscape=True, engine="vectorized")
     d_lb = bounds.d_array.reshape(-1)
     e_lb = bounds.e_total.reshape(-1)
     edp_lb = bounds.edp.reshape(-1)

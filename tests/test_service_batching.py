@@ -175,28 +175,22 @@ def test_constructor_validation():
         BatchQueue(noop, max_batch=0)
     with pytest.raises(ValueError):
         BatchQueue(noop, max_wait=-1.0)
-    with pytest.raises(ValueError):
-        BatchQueue(noop, overrides={"optimize": {"max_batch": 0}})
-    with pytest.raises(ValueError):
-        BatchQueue(noop, overrides={"optimize": {"max_wait": -1.0}})
-    with pytest.raises(ValueError):
-        BatchQueue(noop, overrides={"optimize": {"bogus": 1}})
 
 
 def test_incompatible_optimize_requests_never_share_a_group():
     """Requests that differ in any group_key dimension — flavor,
     engine, or endpoint kind — dispatch separately; only same-group
-    requests may fuse.  The method deliberately does NOT split groups:
-    it rides per-item so a cell's policies can policy-batch."""
+    requests share a dispatch.  The method deliberately does NOT split
+    groups: it rides per item."""
     from repro.service.api import parse_request
 
     bodies = [
         {"capacity_bytes": 1024, "flavor": "hvt", "method": "M1",
-         "engine": "fused"},
+         "engine": "pruned"},
         {"capacity_bytes": 1024, "flavor": "hvt", "method": "M2",
-         "engine": "fused"},                       # same group as above
+         "engine": "pruned"},                      # same group as above
         {"capacity_bytes": 1024, "flavor": "lvt", "method": "M1",
-         "engine": "fused"},                       # different flavor
+         "engine": "pruned"},                      # different flavor
         {"capacity_bytes": 1024, "flavor": "hvt", "method": "M1",
          "engine": "vectorized"},                  # different engine
     ]
@@ -221,38 +215,10 @@ def test_incompatible_optimize_requests_never_share_a_group():
     groups = sorted(key for key, _ in batches)
     assert groups == [
         ("evaluate", "hvt"),
-        ("optimize", "hvt", "fused"),
+        ("optimize", "hvt", "pruned"),
         ("optimize", "hvt", "vectorized"),
-        ("optimize", "lvt", "fused"),
+        ("optimize", "lvt", "pruned"),
     ]
-    # The two compatible policies fused into the one hvt/fused batch.
-    fused_items = dict(batches)[("optimize", "hvt", "fused")]
-    assert [item["method"] for item in fused_items] == ["M1", "M2"]
-
-
-def test_per_endpoint_overrides_apply_per_kind():
-    async def scenario():
-        dispatch = Recorder()
-        queue = BatchQueue(
-            dispatch, max_batch=10, max_wait=60.0,
-            overrides={"optimize": {"max_batch": 2},
-                       "evaluate": {"max_wait": 0.01}},
-        )
-        assert queue.max_batch_for("optimize") == 2
-        assert queue.max_wait_for("optimize") == 60.0
-        assert queue.max_batch_for("evaluate") == 10
-        assert queue.max_wait_for("montecarlo") == 60.0
-        # optimize flushes at its overridden size bound of 2...
-        opt = [queue.enqueue(("optimize", "hvt", "fused"), i)
-               for i in range(2)]
-        # ...while evaluate flushes on its overridden (short) timer
-        # instead of the queue-wide 60 s one.
-        ev = [queue.enqueue(("evaluate", "hvt"), i) for i in range(1)]
-        await asyncio.gather(*opt, *ev)
-        return sorted(dispatch.batches)
-
-    batches = run(scenario())
-    assert batches == [
-        (("evaluate", "hvt"), [0]),
-        (("optimize", "hvt", "fused"), [0, 1]),
-    ]
+    # The two compatible policies share the one hvt/pruned batch.
+    shared_items = dict(batches)[("optimize", "hvt", "pruned")]
+    assert [item["method"] for item in shared_items] == ["M1", "M2"]

@@ -60,6 +60,38 @@ def test_submit_runs_to_done_with_results(client):
         assert "landscape" not in cell
 
 
+def test_submit_reports_committed_state_when_a_worker_claims_first(
+        paper_session, tmp_path):
+    """The 202 reports the row the submit committed (``queued``) even
+    when a job worker claims the job before the handler answers."""
+    config = ServiceConfig(port=0, executor="thread", workers=1,
+                           cache_path=CACHE_PATH,
+                           jobs_path=str(tmp_path / "jobs.db"),
+                           job_workers=0)
+    with ServerThread(config, session=paper_session) as running:
+        jobs = running.server.jobs
+        submit = jobs.submit
+        claimed = []
+
+        def submit_then_claim(*args, **kwargs):
+            job = submit(*args, **kwargs)
+            # A worker waiting on the queue claims the job the moment
+            # the insert commits, before the 202 is built.
+            claimed.append(jobs.claim("racing-worker", 30.0))
+            return job
+
+        jobs.submit = submit_then_claim
+        with ServiceClient(port=running.port) as c:
+            accepted = c.submit_job(SPEC)
+            current = c.job(accepted["id"])
+    assert claimed[0].id == accepted["id"]
+    assert accepted["state"] == "queued"
+    assert accepted["attempts"] == 0
+    assert accepted["worker"] is None
+    assert current["state"] == "running"
+    assert current["worker"] == "racing-worker"
+
+
 def test_optimize_deduped_against_job_results(client):
     """A cell the background worker already computed must come straight
     out of the experiment store — no second engine search."""

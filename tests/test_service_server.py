@@ -177,7 +177,7 @@ def test_pareto_matches_direct_front(client, paper_session):
     )
     policy = make_policy("M2", paper_session.yield_levels("hvt"))
     landscape = optimizer.optimize(1024 * 8, policy, keep_landscape=True,
-                                   engine="fused").landscape
+                                   engine="vectorized").landscape
     expected = pareto_front(landscape)
     assert len(served["front"]) == len(expected)
     for row, p in zip(served["front"], expected):
@@ -383,31 +383,27 @@ def test_coalesced_montecarlo_is_bit_identical_to_serial(paper_session):
         assert payload["n"] == n and payload["seed"] == seed
 
 
-def test_fused_optimize_requests_policy_batch_bit_identically(
+def test_same_group_optimize_requests_share_a_dispatch_bit_identically(
         paper_session):
-    # A dedicated server with a generous optimize batch window (via the
-    # per-endpoint override) so both methods' concurrent requests fuse
-    # into one policy-batched optimize_many dispatch.
-    config = ServiceConfig(
-        port=0, executor="thread", workers=2, max_wait_ms=5.0,
-        endpoint_overrides={"optimize": {"max_wait_ms": 250.0}},
-    )
+    # A dedicated server with a generous batch window, so both methods'
+    # concurrent requests (one flavor/engine group) ride one dispatch
+    # and are searched one policy at a time inside it.
+    config = ServiceConfig(port=0, executor="thread", workers=2,
+                           max_wait_ms=250.0)
     with ServerThread(config, session=paper_session) as running:
-        before = counter_value("service.engine.optimize_fused_dispatches")
-
         def call(method):
             with ServiceClient(port=running.port) as c:
                 return c.optimize(512, flavor="hvt", method=method,
-                                  engine="fused")
+                                  engine="pruned")
 
         with ThreadPoolExecutor(max_workers=2) as pool:
             served = list(pool.map(call, ("M1", "M2")))
-        after = counter_value("service.engine.optimize_fused_dispatches")
         with ServiceClient(port=running.port) as c:
-            overrides = c.metrics()["batching"]["endpoint_overrides"]
+            metrics = c.metrics()
 
-    assert after - before >= 1, "batch window missed: no fused dispatch"
-    assert overrides == {"optimize": {"max_wait_ms": 250.0}}
+    assert metrics["batch_sizes"]["optimize"]["max"] == 2, \
+        "batch window missed: the two requests dispatched apart"
+    assert "endpoint_overrides" not in metrics["batching"]
     from repro.opt import DesignSpace, ExhaustiveOptimizer, make_policy
     optimizer = ExhaustiveOptimizer(
         paper_session.model("hvt"), DesignSpace(),
@@ -415,11 +411,23 @@ def test_fused_optimize_requests_policy_batch_bit_identically(
     )
     for method, payload in zip(("M1", "M2"), served):
         policy = make_policy(method, paper_session.yield_levels("hvt"))
-        direct = optimizer.optimize(512 * 8, policy, engine="fused")
+        direct = optimizer.optimize(512 * 8, policy, engine="loop")
         assert payload["design"]["n_r"] == direct.design.n_r
         assert payload["design"]["v_ssc"] == float(direct.design.v_ssc)
         assert payload["metrics"]["edp"] == direct.metrics.edp
         assert payload["method"] == method
+
+
+@pytest.mark.parametrize("route", ["/v1/optimize", "/v1/pareto",
+                                   "/v1/yield"])
+def test_removed_engine_is_400(client, route):
+    status, payload, _ = client.request(
+        "POST", route,
+        body={"capacity_bytes": 1024, "engine": "fused"}, check=False)
+    assert status == 400
+    assert "fused" in payload["error"]
+    for engine in ("pruned", "vectorized", "loop"):
+        assert engine in payload["error"]
 
 
 def test_montecarlo_summary_fields(client):

@@ -11,7 +11,7 @@ from repro.opt.methods import make_policy
 from repro.opt.space import DesignSpace
 from repro.yields.ecc import make_code
 
-ENGINES = ("loop", "vectorized", "fused", "pruned")
+ENGINES = ("loop", "vectorized", "pruned")
 CAPACITY_BITS = 1024 * 8
 
 
