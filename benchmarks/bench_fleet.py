@@ -96,7 +96,7 @@ def bench_claim_overhead(session, rounds, tmp):
         claimed[i].id, "bench-local"))
 
     remote = {}
-    config = ServiceConfig(port=0, executor="thread", workers=2,
+    config = ServiceConfig(port=0, workers=2,
                            cache_path=CACHE_PATH,
                            jobs_path=os.path.join(tmp, "remote-jobs.db"),
                            job_workers=0)
@@ -134,7 +134,7 @@ def bench_store_sync(session, rounds, tmp):
         "get_ms": _sample(rounds, lambda i: plain.get("cell-%08x" % i)),
     }
 
-    config = ServiceConfig(port=0, executor="thread", workers=2,
+    config = ServiceConfig(port=0, workers=2,
                            cache_path=CACHE_PATH,
                            store_path=os.path.join(tmp, "replica.db"))
     with ServerThread(config, session=session) as server:
@@ -172,7 +172,7 @@ def bench_shard_hit_rate(session, sizing, tmp):
 
     def config(port, peer):
         return ServiceConfig(
-            port=port, executor="thread", workers=2,
+            port=port, workers=2,
             cache_path=CACHE_PATH, probe_interval_s=0.2,
             peers=("http://127.0.0.1:%d" % peer,))
 

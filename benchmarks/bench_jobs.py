@@ -106,7 +106,7 @@ def main(argv=None):
         return run_study(
             session=session, capacities=tuple(matrix["capacities"]),
             flavors=tuple(matrix["flavors"]),
-            methods=tuple(matrix["methods"]), workers=1)
+            methods=tuple(matrix["methods"]))
 
     print("warming engine state (untimed run_study pass)...")
     direct()

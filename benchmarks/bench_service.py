@@ -91,7 +91,7 @@ def _percentile(samples, q):
 
 def _run_scenario(label, session, sizing, batching, seed_base):
     config = ServiceConfig(
-        port=0, executor="thread", workers=max(2, sizing["clients"] // 2),
+        port=0, workers=max(2, sizing["clients"] // 2),
         max_batch=8 if batching else 1,
         max_wait_ms=5.0 if batching else 0.0,
         cache_path=CACHE_PATH,
@@ -161,7 +161,7 @@ def _run_pareto_scenario(label, session, store_path):
         return perf.get_registry().snapshot()["counters"].get(name, 0)
 
     config = ServiceConfig(
-        port=0, executor="thread", workers=2, max_wait_ms=5.0,
+        port=0, workers=2, max_wait_ms=5.0,
         cache_path=CACHE_PATH, store_path=store_path,
     )
     before_sweeps = counter("service.engine.pareto_sweeps")
@@ -273,7 +273,6 @@ def main(argv=None):
             "clients": sizing["clients"],
             "requests_per_client": sizing["requests"],
             "mc_samples": sizing["mc_samples"],
-            "executor": "thread",
             "workload": "60% montecarlo / 20% evaluate / 20% optimize",
         },
         "batching_on": batched,

@@ -491,8 +491,8 @@ def optimize_all(session, capacities=CAPACITIES_BYTES,
                  keep_landscape=False, engine="vectorized"):
     """Run the exhaustive optimizer over the full evaluation matrix.
 
-    Serial reference driver; :func:`repro.analysis.runner.run_study`
-    produces the same sweep across a worker pool.
+    Reference driver; :func:`repro.analysis.runner.run_study` produces
+    the same sweep plus per-task telemetry.
     """
     space = DesignSpace()
     results = {}

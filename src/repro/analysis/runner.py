@@ -1,38 +1,23 @@
-"""Parallel study runner: fan the capacity x flavor x method matrix out
-over a worker pool.
+"""Study runner: the capacity x flavor x method matrix, one task at a
+time, in process.
 
 A full Table-4 / Figure-7 study is 20 independent exhaustive searches
-(5 capacities x 2 flavors x 2 methods), dispatched one task at a time.
-They share only *read-only* state — the characterization LUTs and the
-memoized yield margins — so the matrix parallelizes embarrassingly.
-The executors:
-
-* ``executor="process"`` — a :class:`~concurrent.futures.ProcessPoolExecutor`
-  whose workers each build their session from the (warm)
-  characterization cache in their initializer.  The parent pre-computes
-  the yield margins for the whole V_SSC candidate axis once and ships
-  the memo to every worker
-  (:meth:`YieldConstraint.seed_margin_memo`), so no process ever re-runs
-  a butterfly the study already ran.
-* ``executor="thread"`` — a thread pool sharing the parent session
-  directly.  The heavy lifting is numpy broadcasting, which releases
-  the GIL, so threads scale too while skipping worker start-up.
-* ``executor="serial"`` — the plain loop (what
-  :func:`repro.analysis.optimize_all` does), useful as the baseline.
+(5 capacities x 2 flavors x 2 methods) that share only read-only state
+— the characterization LUTs and the memoized yield margins.  The whole
+matrix takes a fraction of a second, so :func:`run_study` runs it as a
+plain loop on one warm session; a pool would spend longer starting up
+than the searches take.  To spread a study over cores or hosts, submit
+it as a durable job and start several ``repro jobs work`` processes
+(docs/JOBS.md).
 
 Results are keyed by ``(capacity, flavor, method)`` and assembled into a
-:class:`SweepResult` after every future resolves, so the outcome is
-deterministic and independent of task completion order.  Every task
-records wall time and evaluation counts (:class:`TaskTiming`), and the
-workers' :mod:`repro.perf` registries are merged back into the parent's
-so ``--profile`` accounts for every millisecond even across processes.
+:class:`SweepResult` in canonical task order.  Every task records wall
+time and evaluation counts (:class:`TaskTiming`) for ``--profile``.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .. import perf
@@ -88,14 +73,12 @@ class TaskTiming:
     task: StudyTask
     seconds: float
     n_evaluated: int
-    worker: int   # pid (process pool) or 0 (in-process)
 
     def row(self):
         return {
             "task": self.task.label,
             "ms": round(self.seconds * 1e3, 2),
             "n_evaluated": self.n_evaluated,
-            "worker": self.worker,
         }
 
 
@@ -170,76 +153,25 @@ class StudyRunResult:
     sweep: SweepResult
     timings: list = field(default_factory=list)
     total_seconds: float = 0.0
-    workers: int = 1
-    executor: str = "serial"
-    #: Why an ``executor="auto"`` request was downgraded (e.g. a
-    #: single-CPU host), or None when the requested executor ran.
-    fallback_reason: str = None
 
     @property
     def task_seconds(self):
-        """Sum of per-task wall times (the serial-equivalent work)."""
+        """Sum of per-task wall times."""
         return sum(t.seconds for t in self.timings)
 
     def report(self):
         rows = [t.row() for t in self.timings]
-        text = render_dict_table(
-            rows,
-            title="Study runner telemetry (%s, %d worker%s)"
-            % (self.executor, self.workers,
-               "" if self.workers == 1 else "s"),
-        )
-        text += (
-            "\ntotal wall time: %.3f s   task time: %.3f s   "
-            "parallel efficiency: %.0f%%"
-            % (self.total_seconds, self.task_seconds,
-               100.0 * self.task_seconds
-               / (self.total_seconds * max(self.workers, 1) or 1.0))
-        )
-        if self.fallback_reason:
-            text += "\nexecutor fallback: %s" % self.fallback_reason
+        text = render_dict_table(rows, title="Study runner telemetry")
+        text += ("\ntotal wall time: %.3f s   task time: %.3f s"
+                 % (self.total_seconds, self.task_seconds))
         return text
-
-
-# ---------------------------------------------------------------------------
-# Worker-side machinery (module-level so the process pool can pickle it)
-# ---------------------------------------------------------------------------
-
-_WORKER_STATE = {}
 
 
 def _objective_kind(objective):
     """The dispatch kind: ``"edp"``/``"pareto"`` pass as strings, the
-    yield study ships its parameters as ``("yield", code, y_target,
-    sampler, ci_target, max_samples)`` (a plain tuple so the process
-    pool pickles it untouched)."""
+    yield study carries its parameters as ``("yield", code, y_target,
+    sampler, ci_target, max_samples)``."""
     return objective if isinstance(objective, str) else objective[0]
-
-
-def _worker_init(cache_path, voltage_mode, space, margin_memos):
-    """Build one shared read-only session per worker process."""
-    # Fork-started workers inherit the parent's telemetry registry;
-    # clear it so the first task's snapshot is this worker's delta only.
-    perf.get_registry().reset()
-    session = Session.create(cache_path=cache_path,
-                             voltage_mode=voltage_mode)
-    for flavor, memo in margin_memos.items():
-        session.constraint(flavor).seed_margin_memo(memo)
-    _WORKER_STATE["session"] = session
-    _WORKER_STATE["space"] = space
-
-
-def _run_task_in_worker(task, engine, keep_landscape, objective="edp"):
-    session = _WORKER_STATE["session"]
-    space = _WORKER_STATE["space"]
-    result, seconds = _execute_task(session, space, task, engine,
-                                    keep_landscape, objective)
-    # Snapshot-and-reset so each returned snapshot is a disjoint delta;
-    # the parent merges them all without double counting.
-    registry = perf.get_registry()
-    snapshot = registry.snapshot()
-    registry.reset()
-    return result, seconds, os.getpid(), snapshot
 
 
 def _execute_task(session, space, task, engine, keep_landscape,
@@ -285,10 +217,10 @@ def execute_study_task(session, space, task, engine="vectorized",
 
 
 def _task_failure(task, exc):
-    """Wrap a worker exception so the error names the matrix cell.
+    """Wrap a task's exception so the error names the matrix cell.
 
-    A raw exception out of a pool future says nothing about *which* of
-    the 20 searches raised; re-raising as :class:`StudyTaskError` (with
+    A raw exception says nothing about *which* of the 20 searches
+    raised; re-raising as :class:`StudyTaskError` (with
     the original as ``__cause__``) keeps the traceback and adds the
     label.
     """
@@ -299,32 +231,23 @@ def _task_failure(task, exc):
     )
 
 
-def _cancel_pending(futures):
-    """Best-effort cancel of not-yet-started futures after a failure, so
-    one bad task fails the study promptly instead of running out the
-    rest of the matrix first."""
-    for future in futures:
-        future.cancel()
-
-
 # ---------------------------------------------------------------------------
 # The runner
 # ---------------------------------------------------------------------------
 
 def run_study(session=None, capacities=CAPACITIES_BYTES, flavors=FLAVORS,
-              methods=METHODS, workers=None, executor="auto",
-              engine="vectorized", keep_landscape=False, space=None,
-              cache_path=None, voltage_mode="paper", objective="edp",
-              code="secded", y_target=0.9, sampler="gaussian",
-              ci_target=0.1, max_samples=4096):
-    """Run the full study matrix, optionally across a worker pool.
+              methods=METHODS, engine="vectorized", keep_landscape=False,
+              space=None, cache_path=None, voltage_mode="paper",
+              objective="edp", code="secded", y_target=0.9,
+              sampler="gaussian", ci_target=0.1, max_samples=4096, *,
+              workers=1):
+    """Run the full study matrix in process, one task at a time.
 
-    ``workers=None`` uses ``os.cpu_count()``; ``workers=1`` (or
-    ``executor="serial"``) runs in-process.  ``executor="auto"`` picks a
-    process pool when more than one worker is requested.  Returns a
-    :class:`StudyRunResult` whose ``sweep`` is byte-for-byte the same
-    :class:`SweepResult` a serial :func:`optimize_all` would produce,
-    regardless of worker count or completion order.
+    Returns a :class:`StudyRunResult` whose ``sweep`` is byte-for-byte
+    the same :class:`SweepResult` :func:`optimize_all` would produce.
+    ``workers`` accepts only 1; to spread a study over cores or hosts,
+    submit it as a durable job and run several ``repro jobs work``
+    processes.
 
     ``objective="pareto"`` swaps each cell's min-EDP search for a
     :meth:`~repro.opt.ExhaustiveOptimizer.pareto` sweep; the returned
@@ -343,6 +266,12 @@ def run_study(session=None, capacities=CAPACITIES_BYTES, flavors=FLAVORS,
     adaptive budget).  ``code``, ``y_target`` and the sampler knobs are
     ignored by the other objectives.
     """
+    if workers != 1:
+        raise ValueError(
+            "run_study runs in process (workers=1), got workers=%r; to "
+            "scale a study out, submit it as a durable job and start "
+            "several `repro jobs work` processes" % (workers,)
+        )
     if objective not in ("edp", "pareto", "yield"):
         raise ValueError(
             "unknown objective %r (expected 'edp', 'pareto', or "
@@ -371,32 +300,11 @@ def run_study(session=None, capacities=CAPACITIES_BYTES, flavors=FLAVORS,
             cache_path=cache_path or DEFAULT_CACHE_PATH,
             voltage_mode=voltage_mode,
         )
-    if cache_path is None and session.cache is not None:
-        cache_path = session.cache.path
     space = space or DesignSpace()
-    if workers is None:
-        workers = os.cpu_count() or 1
-    workers = max(int(workers), 1)
-    fallback_reason = None
-    if executor == "auto":
-        executor = "process" if workers > 1 else "serial"
-        if executor == "process" and (os.cpu_count() or 1) == 1:
-            # A pool on a single hardware thread serializes on the same
-            # core and still pays worker start-up; run in-process.
-            # Explicit executor="process" requests are honored as-is.
-            executor = "serial"
-            fallback_reason = (
-                "auto executor fell back to serial: os.cpu_count() == 1 "
-                "(%d workers requested)" % workers
-            )
-    if workers == 1:
-        executor = "serial"
     tasks = study_matrix(capacities, flavors, methods)
-    workers = min(workers, len(tasks))
 
-    # Warm and export the margin memos once, in the parent: feasibility
-    # masks over the whole V_SSC axis for every flavor in play.
-    margin_memos = {}
+    # Warm the margin memos once: feasibility masks over the whole V_SSC
+    # axis for every flavor and method in play.
     with perf.timed("study.warm_margins"):
         for flavor in set(task.flavor for task in tasks):
             constraint = session.constraint(flavor)
@@ -408,65 +316,18 @@ def run_study(session=None, capacities=CAPACITIES_BYTES, flavors=FLAVORS,
                     [float(v) for v in policy.v_ssc_candidates(space)],
                     policy.v_wl, policy.v_bl,
                 )
-            margin_memos[flavor] = constraint.export_margin_memo()
 
     start = time.perf_counter()
     results = {}
-    timings = {}
-
-    def record(task, result, seconds, worker=0):
+    timings = []
+    for task in tasks:
+        try:
+            result, seconds = _execute_task(
+                session, space, task, engine, keep_landscape, objective)
+        except Exception as exc:
+            raise _task_failure(task, exc) from exc
         results[task.key] = result
-        timings[task.key] = TaskTiming(task, seconds, result.n_evaluated,
-                                       worker)
-
-    if executor == "serial":
-        for task in tasks:
-            try:
-                result, seconds = _execute_task(
-                    session, space, task, engine, keep_landscape,
-                    objective)
-            except Exception as exc:
-                raise _task_failure(task, exc) from exc
-            record(task, result, seconds)
-    elif executor == "thread":
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(_execute_task, session, space, task, engine,
-                            keep_landscape, objective): task
-                for task in tasks
-            }
-            for future, task in futures.items():
-                try:
-                    result, seconds = future.result()
-                except Exception as exc:
-                    _cancel_pending(futures)
-                    raise _task_failure(task, exc) from exc
-                record(task, result, seconds)
-    elif executor == "process":
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_worker_init,
-            initargs=(cache_path, session.voltage_mode, space,
-                      margin_memos),
-        ) as pool:
-            futures = {
-                pool.submit(_run_task_in_worker, task, engine,
-                            keep_landscape, objective): task
-                for task in tasks
-            }
-            for future, task in futures.items():
-                try:
-                    result, seconds, pid, snapshot = future.result()
-                except Exception as exc:
-                    _cancel_pending(futures)
-                    raise _task_failure(task, exc) from exc
-                record(task, result, seconds, pid)
-                perf.get_registry().merge(snapshot)
-    else:
-        raise ValueError(
-            "unknown executor %r (expected 'auto', 'serial', 'thread', "
-            "or 'process')" % (executor,)
-        )
+        timings.append(TaskTiming(task, seconds, result.n_evaluated))
     total_seconds = time.perf_counter() - start
     perf.get_registry().add_time("study.run_study", total_seconds)
     perf.count("study.tasks", len(tasks))
@@ -483,12 +344,5 @@ def run_study(session=None, capacities=CAPACITIES_BYTES, flavors=FLAVORS,
     else:
         sweep = SweepResult(results=results,
                             voltage_mode=session.voltage_mode)
-    ordered_timings = [timings[task.key] for task in tasks]
-    return StudyRunResult(
-        sweep=sweep,
-        timings=ordered_timings,
-        total_seconds=total_seconds,
-        workers=workers if executor != "serial" else 1,
-        executor=executor,
-        fallback_reason=fallback_reason,
-    )
+    return StudyRunResult(sweep=sweep, timings=timings,
+                          total_seconds=total_seconds)

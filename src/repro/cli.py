@@ -7,7 +7,7 @@ Usage::
     python -m repro.cli fig3
     python -m repro.cli fig5
     python -m repro.cli table4 --voltage-mode paper
-    python -m repro.cli fig7 --workers 4
+    python -m repro.cli fig7
     python -m repro.cli headline --profile
     python -m repro.cli montecarlo --samples 2000 --metrics hsnm,rsnm,wm
     python -m repro.cli all
@@ -34,9 +34,10 @@ pool.
 content-addressed experiment store directly (submit/status/watch/
 cancel/work and ls/show/gc) — see ``docs/JOBS.md``.
 
-``--workers N`` fans the optimization matrix (table4 / fig7 / headline)
-over a worker pool (see :mod:`repro.analysis.runner`); ``--profile``
-prints the :mod:`repro.perf` telemetry report after the run.
+Every study runs in process; to spread one over cores or hosts, submit
+it with ``jobs submit`` and start several ``jobs work`` processes.
+``--profile`` prints the :mod:`repro.perf` telemetry report after the
+run.
 """
 
 from __future__ import annotations
@@ -76,18 +77,10 @@ PAPER_SET = ("calibration", "fig2", "fig3", "fig5", "table4", "fig7",
 
 
 def _run_sweep(session, options):
-    """The Table-4/Figure-7 sweep, parallel when workers were requested."""
-    workers = getattr(options, "workers", 1) if options else 1
+    """The Table-4/Figure-7 sweep."""
     engine = getattr(options, "engine", "vectorized") if options else (
         "vectorized"
     )
-    if workers and workers > 1:
-        run = run_study(
-            session=session, workers=workers,
-            executor=getattr(options, "executor", "auto"),
-            engine=engine,
-        )
-        return run.sweep
     return optimize_all(session, engine=engine)
 
 
@@ -212,11 +205,6 @@ def run_pareto(argv):
                         help="a in the E^a * D^b pick (default 1)")
     parser.add_argument("--delay-exponent", type=float, default=1.0,
                         help="b in the E^a * D^b pick (default 1)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker count (1 = serial)")
-    parser.add_argument("--executor",
-                        choices=("auto", "serial", "thread", "process"),
-                        default="auto")
     parser.add_argument("--cache", default=".repro_cache.json",
                         help="characterization cache path ('' disables)")
     parser.add_argument("--voltage-mode", choices=("measured", "paper"),
@@ -233,7 +221,7 @@ def run_pareto(argv):
     methods = _parse_csv(args.methods) if args.methods else METHODS
     run = run_study(
         capacities=capacities, flavors=flavors, methods=methods,
-        workers=args.workers, executor=args.executor, engine=args.engine,
+        engine=args.engine,
         cache_path=args.cache or None, voltage_mode=args.voltage_mode,
         objective="pareto",
     )
@@ -309,11 +297,6 @@ def run_yield(argv):
     parser.add_argument("--max-samples", type=int, default=4096,
                         help="adaptive sample cap per rail pair for "
                              "the rare-event samplers (default 4096)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker count (1 = serial)")
-    parser.add_argument("--executor",
-                        choices=("auto", "serial", "thread", "process"),
-                        default="auto")
     parser.add_argument("--cache", default=".repro_cache.json",
                         help="characterization cache path ('' disables)")
     parser.add_argument("--voltage-mode", choices=("measured", "paper"),
@@ -331,7 +314,7 @@ def run_yield(argv):
     methods = _parse_csv(args.methods) if args.methods else METHODS
     run = run_study(
         capacities=capacities, flavors=flavors, methods=methods,
-        workers=args.workers, executor=args.executor, engine=args.engine,
+        engine=args.engine,
         cache_path=args.cache or None, voltage_mode=args.voltage_mode,
         objective="yield", code=args.code, y_target=args.y_target,
         sampler=args.sampler, ci_target=args.ci_target,
@@ -373,16 +356,9 @@ def run_serve(argv):
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8787,
                         help="listen port (0 = ephemeral)")
-    parser.add_argument("--executor",
-                        choices=("auto", "thread", "process"),
-                        default="thread",
-                        help="worker pool type: thread shares one warm "
-                             "session; process forks workers that load "
-                             "the characterization cache; auto picks "
-                             "process on multi-core hosts and thread on "
-                             "single-CPU ones")
     parser.add_argument("--workers", type=int, default=0,
-                        help="pool size (0 = cpu count)")
+                        help="engine thread pool size (0 = cpu count); "
+                             "the threads share one warm session")
     parser.add_argument("--max-batch", type=int, default=8,
                         help="flush a request group at this many items")
     parser.add_argument("--max-wait-ms", type=float, default=5.0,
@@ -421,18 +397,8 @@ def run_serve(argv):
                              "healthy ring preferences before local "
                              "failover (0 = single attempt)")
     args = parser.parse_args(argv)
-    executor = args.executor
-    if executor == "auto":
-        # Explicit --executor process is always honored; auto avoids
-        # forking a pool that would serialize on a single core.
-        if (os.cpu_count() or 1) > 1:
-            executor = "process"
-        else:
-            executor = "thread"
-            print("single-CPU host: --executor auto selected the "
-                  "shared-session thread pool")
     config = ServiceConfig(
-        host=args.host, port=args.port, executor=executor,
+        host=args.host, port=args.port,
         workers=args.workers, max_batch=args.max_batch,
         max_wait_ms=args.max_wait_ms, max_pending=args.max_pending,
         cache_path=args.cache, voltage_mode=args.voltage_mode,
@@ -753,14 +719,6 @@ def main(argv=None):
                         help="characterization cache path ('' disables)")
     parser.add_argument("--json", default=None,
                         help="also dump the result object to this path")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker count for the optimization sweeps "
-                             "(1 = serial; >1 fans the capacity x flavor "
-                             "x method matrix over a pool)")
-    parser.add_argument("--executor",
-                        choices=("auto", "serial", "thread", "process"),
-                        default="auto",
-                        help="pool type for --workers > 1")
     parser.add_argument("--engine",
                         choices=("pruned", "vectorized", "batched",
                                  "loop"),

@@ -54,11 +54,11 @@ class CalibrationError(ReproError):
 
 
 class StudyTaskError(ReproError):
-    """One task of a parallel study matrix failed.
+    """One task of a study matrix failed.
 
     Carries the task's human-readable label (e.g. ``16KB/HVT/M2``) so a
-    failure deep inside a worker process still names the matrix cell
-    that caused it; the original exception rides along as ``__cause__``.
+    failure deep inside a search still names the matrix cell that
+    caused it; the original exception rides along as ``__cause__``.
     """
 
     def __init__(self, message, task_label=None):

@@ -110,7 +110,7 @@ def _spawn_replica(port, peer_ports, cache, jobs_path=None,
     replication and shard routing see all N hosts)."""
     argv = [sys.executable, "-m", "repro.cli", "serve",
             "--host", "127.0.0.1", "--port", str(port),
-            "--executor", "thread", "--workers", "2",
+            "--workers", "2",
             "--cache", cache, "--store", store_path,
             "--probe-interval", "0.5"]
     for peer_port in peer_ports:
@@ -338,7 +338,7 @@ def main(argv=None):
                 session=session,
                 capacities=tuple(spec["capacities"]),
                 flavors=tuple(spec["flavors"]),
-                methods=tuple(spec["methods"]), workers=1,
+                methods=tuple(spec["methods"]),
             )
             for name, path in [(str(i), stores[i])
                                for i in range(hosts)]:

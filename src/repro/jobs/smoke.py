@@ -158,7 +158,7 @@ def main(argv=None):
             session=session,
             capacities=tuple(spec["capacities"]),
             flavors=tuple(spec["flavors"]),
-            methods=tuple(spec["methods"]), workers=1,
+            methods=tuple(spec["methods"]),
         )
         mismatches = [
             task.label for task, key in cells

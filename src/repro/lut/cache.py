@@ -24,8 +24,8 @@ the failure is persisted, and the rewrite itself stays atomic
 (write-to-temp then ``os.replace``).
 
 Thread safety: every public operation holds one re-entrant lock, so a
-cache shared across a thread pool (the optimization service's thread
-executor shares one warm :class:`~repro.analysis.experiments.Session`)
+cache shared across a thread pool (the optimization service's engine
+threads share one warm :class:`~repro.analysis.experiments.Session`)
 never interleaves a ``put`` with a ``flush`` or double-computes a key.
 :meth:`get_or_compute` holds the lock *across* the compute — the first
 caller characterizes, every concurrent caller for any key waits and

@@ -123,10 +123,10 @@ class YieldConstraint:
             return np.minimum(hsnm, rsnm) >= self.delta
         return np.minimum(np.minimum(hsnm, rsnm), wm) >= self.delta
 
-    # -- memo transport (sharing margins across worker processes) ----------
+    # -- memo transport (sharing margins between constraints) --------------
 
     def export_margin_memo(self):
-        """Picklable snapshot of every memoized margin quantity."""
+        """Plain-data snapshot of every memoized margin quantity."""
         return {
             "hsnm": self._hsnm,
             "v_flip": self._v_flip,
@@ -134,9 +134,9 @@ class YieldConstraint:
         }
 
     def seed_margin_memo(self, memo):
-        """Pre-load margins computed elsewhere (e.g. by the parent of a
-        worker pool), so no process recomputes a butterfly the study
-        already ran."""
+        """Pre-load margins computed elsewhere (e.g. by the fixed-delta
+        baseline of a yield study), so no constraint recomputes a
+        butterfly the study already ran."""
         if memo.get("hsnm") is not None:
             self._hsnm = memo["hsnm"]
         if memo.get("v_flip") is not None:

@@ -1,21 +1,22 @@
 """Lightweight timing/counter telemetry for the performance engine.
 
-The optimizer, the parallel study runner, and the characterization cache
-all report where their milliseconds go through one process-global
+The optimizer, the study runner, and the characterization cache all
+report where their milliseconds go through one process-global
 :class:`PerfRegistry`.  Instrumentation is two calls deep — a
 ``with timed("name"):`` context manager and a ``count("name")``
 increment — so the hot paths stay readable and the overhead stays at a
 pair of ``perf_counter`` calls per timed block.
 
-``python -m repro.cli <experiment> --profile`` prints the registry's
-report after the run; worker processes of the parallel runner snapshot
-their registries and the parent merges them, so a profiled parallel
-study still accounts for every task.
+The registry is thread-safe: the service's thread pool and the job
+worker threads record into the same global one, and a lock keeps every
+increment.  ``python -m repro.cli <experiment> --profile`` prints the
+registry's report after the run.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -43,11 +44,16 @@ class TimerStat:
 
 
 class PerfRegistry:
-    """Named timers and counters with mergeable snapshots."""
+    """Named timers and counters with mergeable snapshots.
+
+    One lock guards every read-modify-write, so threads sharing a
+    registry lose no counts.
+    """
 
     def __init__(self):
         self.timers = {}
         self.counters = {}
+        self._lock = threading.Lock()
 
     # -- recording ---------------------------------------------------------
 
@@ -60,48 +66,52 @@ class PerfRegistry:
             self.add_time(name, time.perf_counter() - start)
 
     def add_time(self, name, seconds):
-        stat = self.timers.get(name)
-        if stat is None:
-            stat = self.timers[name] = TimerStat(name)
-        stat.add(seconds)
+        with self._lock:
+            stat = self.timers.get(name)
+            if stat is None:
+                stat = self.timers[name] = TimerStat(name)
+            stat.add(seconds)
 
     def count(self, name, n=1):
-        self.counters[name] = self.counters.get(name, 0) + n
+        with self._lock:
+            self.counters[name] = self.counters.get(name, 0) + n
 
     # -- aggregation -------------------------------------------------------
 
     def snapshot(self):
-        """Plain-data (picklable) view, mergeable via :meth:`merge`."""
-        return {
-            "timers": {
-                name: {"count": s.count, "total": s.total,
-                       "min": s.min, "max": s.max}
-                for name, s in self.timers.items()
-            },
-            "counters": dict(self.counters),
-        }
+        """Plain-data view, mergeable via :meth:`merge`."""
+        with self._lock:
+            return {
+                "timers": {
+                    name: {"count": s.count, "total": s.total,
+                           "min": s.min, "max": s.max}
+                    for name, s in self.timers.items()
+                },
+                "counters": dict(self.counters),
+            }
 
     def merge(self, snapshot):
         """Fold another registry's :meth:`snapshot` into this one."""
-        for name, data in snapshot.get("timers", {}).items():
-            stat = self.timers.get(name)
-            if stat is None:
-                stat = self.timers[name] = TimerStat(name)
-            stat.count += data["count"]
-            stat.total += data["total"]
-            if data["count"] > 0:
-                # A zero-count timer carries a placeholder min (inf in a
-                # live registry, 0.0 after a JSON round trip); folding
-                # either into a real minimum would corrupt it.
-                stat.min = min(stat.min, data["min"])
-                stat.max = max(stat.max, data["max"])
-        for name, value in snapshot.get("counters", {}).items():
-            self.count(name, value)
+        with self._lock:
+            for name, data in snapshot.get("timers", {}).items():
+                stat = self.timers.get(name)
+                if stat is None:
+                    stat = self.timers[name] = TimerStat(name)
+                stat.count += data["count"]
+                stat.total += data["total"]
+                if data["count"] > 0:
+                    # A zero-count timer carries a placeholder min (inf
+                    # in a live registry, 0.0 after a JSON round trip);
+                    # folding either into a real minimum would corrupt
+                    # it.
+                    stat.min = min(stat.min, data["min"])
+                    stat.max = max(stat.max, data["max"])
+            for name, value in snapshot.get("counters", {}).items():
+                self.counters[name] = self.counters.get(name, 0) + value
 
     def to_json(self):
-        """Serialize a snapshot as strict JSON (crosses process/HTTP
-        boundaries; a worker's registry travels to the parent's
-        ``/metrics`` endpoint this way).
+        """Serialize a snapshot as strict JSON (how ``/metrics``
+        renders it); ``merge(json.loads(text))`` folds it back.
 
         Zero-count timers store ``min`` as 0.0 because ``inf`` is not
         representable in strict JSON; :meth:`merge` ignores the min/max
@@ -113,16 +123,10 @@ class PerfRegistry:
                 data["min"] = 0.0
         return json.dumps(snapshot, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text):
-        """Rebuild a registry from :meth:`to_json` output."""
-        registry = cls()
-        registry.merge(json.loads(text))
-        return registry
-
     def reset(self):
-        self.timers.clear()
-        self.counters.clear()
+        with self._lock:
+            self.timers.clear()
+            self.counters.clear()
 
     # -- reporting ---------------------------------------------------------
 

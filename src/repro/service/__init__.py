@@ -8,7 +8,7 @@ optimization engines:
 * :mod:`~repro.service.api` — request schemas, cache keys, batch groups
 * :mod:`~repro.service.batching` — max-batch/max-wait dynamic batcher
 * :mod:`~repro.service.cache` — LRU+TTL result cache and singleflight
-* :mod:`~repro.service.engines` — batch-job execution on worker pools
+* :mod:`~repro.service.engines` — batch-job execution on the thread pool
 * :mod:`~repro.service.metrics` — counters and latency/batch histograms
 * :mod:`~repro.service.client` — synchronous convenience client
 * :mod:`~repro.service.smoke` — end-to-end smoke check (CI entry)

@@ -5,8 +5,8 @@ a :class:`BatchQueue` under its compatibility ``group_key``
 (:meth:`~repro.service.api.OptimizeRequest.group_key`).  A group's
 first arrival starts a ``max_wait`` timer; the group flushes when the
 timer fires *or* the group reaches ``max_batch`` items, whichever comes
-first.  One flush becomes one worker dispatch — the whole batch crosses
-the executor boundary together, shares a warm session, and (for Monte
+first.  One flush becomes one engine dispatch — the whole batch runs
+together on one pool thread, shares the warm session, and (for Monte
 Carlo requests) coalesces into a single vectorized solve.  Every
 request kind uses the same ``max_batch`` / ``max_wait`` limits.
 

@@ -12,7 +12,7 @@ Two layers keep repeated work off the engines:
   simultaneous identical requests cost exactly one engine invocation.
 
 Both are event-loop-local (the server touches them only from its
-asyncio thread), so neither needs locking; the worker pool never sees
+asyncio thread), so neither needs locking; the engine threads never see
 them.
 """
 

@@ -1,19 +1,11 @@
 """Batch-job execution against the optimization engines.
 
 One *job* is a plain-data dict a :class:`~repro.service.batching.BatchQueue`
-flush produced: a ``kind`` (optimize / pareto / evaluate / montecarlo),
-the
-group's shared fields, and the batched ``items``.  Jobs cross the
-executor boundary as-is — picklable both ways — and come back as one
-JSON-able payload per item, so the event loop never touches numpy.
-
-Worker pools reuse the study runner's machinery
-(:func:`repro.analysis.runner._worker_init`): each process builds one
-session from the warm characterization cache in its initializer and is
-seeded with the parent's margin memos (:func:`warm_margin_memos`), so
-no worker ever recomputes a butterfly the parent already ran.  The
-thread executor skips all that and shares the parent's session
-directly.
+flush produced: a ``kind`` (optimize / pareto / yield / evaluate /
+montecarlo), the group's shared fields, and the batched ``items``.  The
+server's thread pool runs each job against the server's one warm
+session, and every item comes back as one JSON-able payload, so the
+event loop never touches numpy.
 
 Per-item failures (an infeasible design space, a bad capacity) are
 *data*, not exceptions — ``{"ok": False, "status": 422, ...}`` — so one
@@ -25,7 +17,6 @@ from __future__ import annotations
 import math
 
 from .. import perf
-from ..analysis import runner as study_runner
 from ..array.model import DesignPoint
 from ..cell.montecarlo import (
     run_cell_montecarlo,
@@ -366,46 +357,3 @@ def execute_job(session, job):
         raise ValueError("unknown job kind %r" % (job["kind"],))
     with perf.timed("service.job.%s" % job["kind"]):
         return executor(session, job)
-
-
-# ---------------------------------------------------------------------------
-# Process-pool plumbing (reuses the study runner's worker machinery)
-# ---------------------------------------------------------------------------
-
-#: The process-pool initializer: the study runner's, verbatim — one
-#: session per worker from the warm cache, margin memos pre-seeded.
-worker_init = study_runner._worker_init
-
-
-def warm_margin_memos(session, space=None, flavors=("lvt", "hvt"),
-                      methods=("M1", "M2")):
-    """Feasibility margins for every flavor x method, computed once in
-    the parent and shipped to every worker (the same pre-warm
-    :func:`repro.analysis.runner.run_study` does)."""
-    space = space or DesignSpace()
-    memos = {}
-    with perf.timed("service.warm_margins"):
-        for flavor in flavors:
-            constraint = session.constraint(flavor)
-            levels = session.yield_levels(flavor)
-            for method in methods:
-                policy = make_policy(method, levels)
-                constraint.satisfied_grid(
-                    policy.v_ddc,
-                    [float(v) for v in policy.v_ssc_candidates(space)],
-                    policy.v_wl, policy.v_bl,
-                )
-            memos[flavor] = constraint.export_margin_memo()
-    return memos
-
-
-def run_job_in_worker(job):
-    """Process-pool entry: execute against the worker's session and
-    return ``(payloads, perf_snapshot)`` — the snapshot is this job's
-    telemetry delta, merged into the server's ``/metrics``."""
-    session = study_runner._WORKER_STATE["session"]
-    payloads = execute_job(session, job)
-    registry = perf.get_registry()
-    snapshot = registry.snapshot()
-    registry.reset()
-    return payloads, snapshot

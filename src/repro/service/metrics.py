@@ -1,12 +1,11 @@
 """Service telemetry: request counters, latency and batch histograms.
 
 Everything lands in one :class:`ServiceMetrics` owned by the server's
-event loop.  Worker processes cannot write to it directly — each batch
-dispatch returns the worker's :meth:`repro.perf.PerfRegistry.snapshot`
-delta, which the server merges into a dedicated registry so
-``GET /metrics`` accounts for every engine millisecond no matter which
-process spent it (the :meth:`~repro.perf.PerfRegistry.to_json` /
-``from_json`` round trip added for exactly this hand-off).
+event loop.  Engine telemetry comes from the process-global
+:mod:`repro.perf` registry, which the engine threads record into
+directly; ``GET /metrics`` renders it under ``perf.server``.
+``perf.workers`` stays in the payload as an empty snapshot so scrapers
+that merge both keys keep working.
 """
 
 from __future__ import annotations
@@ -85,8 +84,6 @@ class ServiceMetrics:
         self.errors = {}          # route -> non-2xx count
         self.latency = {}         # route -> Histogram [ms]
         self.batch_sizes = {}     # kind -> Histogram [items]
-        #: Worker-side perf snapshots merged across the pool boundary.
-        self.worker_perf = perf.PerfRegistry()
 
     # -- recording ---------------------------------------------------------
 
@@ -106,12 +103,6 @@ class ServiceMetrics:
         if histogram is None:
             histogram = self.batch_sizes[kind] = Histogram(BATCH_BUCKETS)
         histogram.observe(size)
-
-    def merge_worker_snapshot(self, snapshot):
-        """Fold one worker perf delta (dict or to_json text) in."""
-        if isinstance(snapshot, str):
-            snapshot = json.loads(snapshot)
-        self.worker_perf.merge(snapshot)
 
     # -- rendering ---------------------------------------------------------
 
@@ -137,11 +128,11 @@ class ServiceMetrics:
                 kind: histogram.snapshot()
                 for kind, histogram in sorted(self.batch_sizes.items())
             },
-            # Parent-process engine telemetry (thread/inline executors
-            # record here) plus the merged worker deltas.
+            # Engine telemetry; "workers" is always empty (kept for
+            # scrapers that merge it).
             "perf": {
                 "server": json.loads(perf.get_registry().to_json()),
-                "workers": json.loads(self.worker_perf.to_json()),
+                "workers": {"counters": {}, "timers": {}},
             },
         }
         if extra:

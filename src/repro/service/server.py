@@ -6,7 +6,7 @@ Request lifecycle::
         -> result cache (cache.py)            hit? answer immediately
         -> singleflight (cache.py)            identical in flight? join it
         -> dynamic batcher (batching.py)      coalesce compatible requests
-        -> worker pool (engines.py)           one dispatch per batch
+        -> thread pool (engines.py)           one dispatch per batch
         -> cache fill + response
 
 Endpoints:
@@ -24,7 +24,7 @@ Endpoints:
 * ``DELETE /v1/jobs/{id}`` — cancel (409 once terminal)
 * ``GET  /healthz``        — liveness + drain state
 * ``GET  /metrics``        — counters, latency/batch histograms, cache
-  stats, and engine perf merged from every worker
+  stats, and engine perf
 
 The jobs endpoints exist when the config names a ``jobs_path``; results
 are checkpointed per cell to the shared experiment store
@@ -53,19 +53,13 @@ import socket
 import threading
 import time
 import uuid
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .api import PARSERS, BadRequest, parse_request
 from .batching import BatchQueue, QueueFull
 from .cache import ResultCache, Singleflight
-from .engines import (
-    best_weighted_fields,
-    execute_job,
-    run_job_in_worker,
-    warm_margin_memos,
-    worker_init,
-)
+from .engines import best_weighted_fields, execute_job
 from .http import ProtocolError, read_request, write_response
 from .metrics import ServiceMetrics
 from .. import perf
@@ -92,9 +86,7 @@ class ServiceConfig:
 
     host: str = "127.0.0.1"
     port: int = 8787              # 0 = ephemeral (tests)
-    executor: str = "thread"      # "thread" shares one session; "process"
-                                  # forks warm workers (CPU-bound scale)
-    workers: int = 0              # 0 = os.cpu_count()
+    workers: int = 0              # thread pool size; 0 = os.cpu_count()
     max_batch: int = 8            # flush a group at this many items
     max_wait_ms: float = 5.0      # ... or this long after its first item
     max_pending: int = 64         # queued+executing bound (429 beyond)
@@ -191,35 +183,20 @@ class OptimizationServer:
     async def start(self):
         """Build the pool + batcher and start listening.
 
-        Blocking setup (session build, margin warm-up) runs before the
-        socket opens, so a request can never observe a half-built
-        server.
+        Blocking setup (the session build) runs before the socket
+        opens, so a request can never observe a half-built server.
         """
         config = self.config
-        if config.executor not in ("thread", "process"):
-            raise ValueError(
-                "executor must be 'thread' or 'process', got %r"
-                % (config.executor,)
-            )
         if self.session is None:
             self.session = Session.create(
                 cache_path=config.cache_path or None,
                 voltage_mode=config.voltage_mode,
             )
-        workers = config.resolved_workers()
-        if config.executor == "process":
-            # Each forked worker builds its session from the warm
-            # characterization cache, seeded with the parent's margins.
-            self._pool = ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=worker_init,
-                initargs=(config.cache_path or None, config.voltage_mode,
-                          DesignSpace(), warm_margin_memos(self.session)),
-            )
-        else:
-            self._pool = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-service"
-            )
+        # Engine threads share the one warm session.
+        self._pool = ThreadPoolExecutor(
+            max_workers=config.resolved_workers(),
+            thread_name_prefix="repro-service",
+        )
         self._batcher = BatchQueue(
             self._dispatch,
             max_batch=config.max_batch,
@@ -358,23 +335,15 @@ class OptimizationServer:
 
     async def _dispatch(self, group_key, items):
         # Correlation ids ride along with the batch items; strip them
-        # before the job crosses the executor boundary.
+        # before the job reaches the engines.
         request_ids = [item.pop("_request_id", None) for item in items]
         logger.debug("dispatch %s batch of %d rid=%s", group_key[0],
                      len(items),
                      ",".join(rid or "-" for rid in request_ids))
         job = _job_from_group(group_key, items)
-        loop = asyncio.get_running_loop()
-        if self.config.executor == "process":
-            payloads, snapshot = await loop.run_in_executor(
-                self._pool, run_job_in_worker, job
-            )
-            self.metrics.merge_worker_snapshot(snapshot)
-        else:
-            payloads = await loop.run_in_executor(
-                self._pool, execute_job, self.session, job
-            )
-        return payloads
+        return await asyncio.get_running_loop().run_in_executor(
+            self._pool, execute_job, self.session, job
+        )
 
     # -- connection handling -----------------------------------------------
 
@@ -976,7 +945,6 @@ class OptimizationServer:
                 3,
             ),
             "pending": self._batcher.pending if self._batcher else 0,
-            "executor": self.config.executor,
             "workers": self.config.resolved_workers(),
         }
         if self.jobs is not None:
@@ -1032,9 +1000,9 @@ async def serve_forever(config, session=None):
         with contextlib.suppress(NotImplementedError):
             loop.add_signal_handler(signum, stop.set)
     print("repro service listening on http://%s:%d  "
-          "(executor=%s workers=%d batch<=%d wait<=%.1fms)"
-          % (config.host, server.port, config.executor,
-             config.resolved_workers(), config.max_batch,
+          "(workers=%d batch<=%d wait<=%.1fms)"
+          % (config.host, server.port, config.resolved_workers(),
+             config.max_batch,
              config.max_wait_ms))
     await stop.wait()
     print("draining...")

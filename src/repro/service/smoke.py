@@ -2,7 +2,7 @@
 
 Run as::
 
-    PYTHONPATH=src python -m repro.service.smoke [--executor thread]
+    PYTHONPATH=src python -m repro.service.smoke [--workers 2]
 
 Boots a real server on an ephemeral port, then asserts the full
 request path works: /healthz, an optimize (engine result), the same
@@ -30,14 +30,13 @@ def check(condition, label):
     print("  ok: %s" % label)
 
 
-def run_smoke(executor="thread", workers=2, cache_path=DEFAULT_CACHE_PATH):
+def run_smoke(workers=2, cache_path=DEFAULT_CACHE_PATH):
     started = time.perf_counter()
     print("building session (cache: %s)..." % (cache_path or "disabled"))
     session = Session.create(cache_path=cache_path or None,
                              voltage_mode="paper")
-    config = ServiceConfig(port=0, executor=executor, workers=workers,
-                           cache_path=cache_path)
-    print("starting %s-executor server..." % executor)
+    config = ServiceConfig(port=0, workers=workers, cache_path=cache_path)
+    print("starting server (%d engine threads)..." % workers)
     with ServerThread(config, session=session) as running:
         with ServiceClient(port=running.port) as client:
             health = client.healthz()
@@ -86,22 +85,18 @@ def run_smoke(executor="thread", workers=2, cache_path=DEFAULT_CACHE_PATH):
                   "/metrics shows the cache hit")
             check(metrics["batch_sizes"],
                   "/metrics has batch-size histograms")
-    print("smoke passed in %.1f s (executor=%s)"
-          % (time.perf_counter() - started, executor))
+    print("smoke passed in %.1f s" % (time.perf_counter() - started))
     return 0
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
         description="Service smoke check (boot, drive, drain).")
-    parser.add_argument("--executor", choices=("thread", "process"),
-                        default="thread")
     parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--cache", default=DEFAULT_CACHE_PATH,
                         help="characterization cache path ('' disables)")
     args = parser.parse_args(argv)
-    return run_smoke(executor=args.executor, workers=args.workers,
-                     cache_path=args.cache)
+    return run_smoke(workers=args.workers, cache_path=args.cache)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""The parallel study runner: determinism, telemetry, executor parity."""
+"""The study runner: determinism, telemetry, failure labels."""
 
 import pytest
 
@@ -16,8 +16,7 @@ CAPACITIES = (128, 256)
 
 
 class PoisonedSpace(DesignSpace):
-    """Fails only the 256 B searches — module-level so the process pool
-    can pickle it by reference."""
+    """Fails only the 256 B searches."""
 
     def row_counts(self, capacity_bits):
         if capacity_bits == 256 * 8:
@@ -38,40 +37,16 @@ def test_study_matrix_deterministic_order():
 
 
 def test_serial_run_matches_optimize_all(paper_session):
-    run = run_study(session=paper_session, capacities=CAPACITIES,
-                    workers=1)
+    run = run_study(session=paper_session, capacities=CAPACITIES)
     reference = optimize_all(paper_session, capacities=CAPACITIES)
     assert _edp_map(run.sweep) == _edp_map(reference)
-    assert run.executor == "serial"
-    assert run.workers == 1
-
-
-def test_thread_pool_matches_serial(paper_session):
-    serial = run_study(session=paper_session, capacities=CAPACITIES,
-                       workers=1)
-    threaded = run_study(session=paper_session, capacities=CAPACITIES,
-                         workers=2, executor="thread")
-    assert _edp_map(threaded.sweep) == _edp_map(serial.sweep)
-    assert threaded.executor == "thread"
-    assert threaded.workers == 2
-
-
-def test_process_pool_matches_serial(paper_session):
-    serial = run_study(session=paper_session, capacities=CAPACITIES,
-                       workers=1)
-    parallel = run_study(session=paper_session, capacities=CAPACITIES,
-                         workers=2, executor="process")
-    assert _edp_map(parallel.sweep) == _edp_map(serial.sweep)
-    # Designs round-trip through pickling intact.
-    for key, result in parallel.sweep.results.items():
-        assert result.design == serial.sweep.results[key].design
-        assert result.n_evaluated == serial.sweep.results[key].n_evaluated
-    assert parallel.executor == "process"
+    for key, result in run.sweep.results.items():
+        assert result.design == reference.results[key].design
+        assert result.n_evaluated == reference.results[key].n_evaluated
 
 
 def test_timing_telemetry(paper_session):
-    run = run_study(session=paper_session, capacities=CAPACITIES,
-                    workers=1)
+    run = run_study(session=paper_session, capacities=CAPACITIES)
     tasks = study_matrix(CAPACITIES)
     assert len(run.timings) == len(tasks)
     # Telemetry rides in canonical task order regardless of completion.
@@ -84,8 +59,7 @@ def test_timing_telemetry(paper_session):
 
 
 def test_report_renders(paper_session):
-    run = run_study(session=paper_session, capacities=CAPACITIES,
-                    workers=1)
+    run = run_study(session=paper_session, capacities=CAPACITIES)
     text = run.report()
     assert "Study runner telemetry" in text
     assert "128B/LVT/M1" in text
@@ -94,30 +68,31 @@ def test_report_renders(paper_session):
 
 def test_sweep_report_still_works(paper_session):
     """The runner's sweep is a full SweepResult (tables render)."""
-    run = run_study(session=paper_session, capacities=CAPACITIES,
-                    workers=1)
+    run = run_study(session=paper_session, capacities=CAPACITIES)
     assert "Table 4" in run.sweep.report()
 
 
 def test_unknown_executor_rejected(paper_session):
-    with pytest.raises(ValueError):
+    """The removed ``executor`` knob is a typed failure, not ignored."""
+    with pytest.raises(TypeError):
         run_study(session=paper_session, capacities=CAPACITIES,
-                  workers=2, executor="carrier-pigeon")
+                  executor="process")
 
 
-@pytest.mark.parametrize("executor,workers", [
-    ("serial", 1),
-    ("thread", 2),
-    ("process", 2),
-])
-def test_worker_failure_surfaces_task_label(paper_session, executor,
-                                            workers):
-    """A task raising mid-study must fail the run promptly (no
-    deadlock), name the matrix cell that died, and keep the original
-    exception as the cause — on every executor."""
+@pytest.mark.parametrize("workers", [0, 2])
+def test_workers_other_than_one_rejected(paper_session, workers):
+    """``workers`` accepts only 1; the error names the scale-out path."""
+    with pytest.raises(ValueError, match="repro jobs work"):
+        run_study(session=paper_session, capacities=CAPACITIES,
+                  workers=workers)
+
+
+def test_worker_failure_surfaces_task_label(paper_session):
+    """A task raising mid-study must fail the run at once, name the
+    matrix cell that died, and keep the original exception as the
+    cause."""
     with pytest.raises(StudyTaskError) as excinfo:
         run_study(session=paper_session, capacities=CAPACITIES,
-                  workers=workers, executor=executor,
                   space=PoisonedSpace())
     error = excinfo.value
     assert isinstance(error, ReproError)
@@ -128,38 +103,30 @@ def test_worker_failure_surfaces_task_label(paper_session, executor,
 
 
 def test_runner_usable_after_failure(paper_session):
-    """A failed parallel study shuts its pool down cleanly; the same
-    session immediately runs a healthy study afterwards."""
+    """After a failed study the same session immediately runs a healthy
+    study."""
     with pytest.raises(StudyTaskError):
         run_study(session=paper_session, capacities=CAPACITIES,
-                  workers=2, executor="thread", space=PoisonedSpace())
-    run = run_study(session=paper_session, capacities=CAPACITIES,
-                    workers=2, executor="thread")
+                  space=PoisonedSpace())
+    run = run_study(session=paper_session, capacities=CAPACITIES)
     assert len(run.sweep.results) == len(study_matrix(CAPACITIES))
 
 
 def test_engine_parity_through_runner(paper_session):
     vec = run_study(session=paper_session, capacities=CAPACITIES,
-                    workers=1, engine="vectorized")
+                    engine="vectorized")
     loop = run_study(session=paper_session, capacities=CAPACITIES,
-                     workers=1, engine="loop")
+                     engine="loop")
     assert _edp_map(vec.sweep) == _edp_map(loop.sweep)
 
 
-@pytest.mark.parametrize("executor,workers", [
-    ("serial", 1),
-    ("thread", 2),
-    ("process", 2),
-])
-def test_pruned_engine_runs_one_task_per_dispatch(paper_session, executor,
-                                                  workers):
+def test_pruned_engine_runs_one_task_per_dispatch(paper_session):
     """Every engine dispatches one task at a time: the pruned sweep
     matches the vectorized one and each task's telemetry is its own
     search's (n_evaluated equals that task's result)."""
     vec = run_study(session=paper_session, capacities=CAPACITIES,
-                    workers=1, engine="vectorized")
+                    engine="vectorized")
     pruned = run_study(session=paper_session, capacities=CAPACITIES,
-                       workers=workers, executor=executor,
                        engine="pruned")
     assert _edp_map(pruned.sweep) == _edp_map(vec.sweep)
     tasks = study_matrix(CAPACITIES)
@@ -176,6 +143,6 @@ def test_pruned_engine_failure_names_the_task(paper_session):
     """A failing task names its own matrix cell, one method only."""
     with pytest.raises(StudyTaskError) as excinfo:
         run_study(session=paper_session, capacities=CAPACITIES,
-                  workers=1, engine="pruned", space=PoisonedSpace())
+                  engine="pruned", space=PoisonedSpace())
     assert excinfo.value.task_label == "256B/LVT/M1"
     assert "injected mid-study fault" in str(excinfo.value)

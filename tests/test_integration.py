@@ -112,6 +112,13 @@ def test_cli_rejects_removed_engine(argv, capsys):
     ["serve", "--endpoint-max-batch", "optimize=8"],
     ["serve", "--endpoint-max-wait-ms", "optimize=50"],
     ["jobs", "work", "--arena", "psm_session"],
+    ["table4", "--workers", "2"],
+    ["table4", "--executor", "process"],
+    ["pareto", "--workers", "2"],
+    ["pareto", "--executor", "thread"],
+    ["yield", "--workers", "2"],
+    ["yield", "--executor", "serial"],
+    ["serve", "--executor", "process"],
 ])
 def test_cli_rejects_removed_flags(argv, capsys):
     with pytest.raises(SystemExit) as excinfo:

@@ -34,7 +34,7 @@ SPEC = {"capacities": [128], "flavors": ["lvt"], "methods": ["M1"]}
 @pytest.fixture()
 def service(paper_session, tmp_path):
     db_path = str(tmp_path / "jobs.db")
-    config = ServiceConfig(port=0, executor="thread", workers=2,
+    config = ServiceConfig(port=0, workers=2,
                            cache_path=CACHE_PATH, jobs_path=db_path,
                            job_workers=0)
     with ServerThread(config, session=paper_session) as running:

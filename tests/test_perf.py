@@ -1,5 +1,9 @@
 """The perf telemetry registry: timers, counters, merge, report."""
 
+import json
+import sys
+import threading
+
 import pytest
 
 from repro.perf import PerfRegistry, count, get_registry, timed
@@ -46,8 +50,6 @@ def test_snapshot_merge_round_trip():
 
 
 def test_snapshot_is_plain_data():
-    import json
-
     reg = PerfRegistry()
     with reg.timer("t"):
         pass
@@ -90,7 +92,8 @@ def test_to_json_from_json_round_trip():
     with reg.timer("t"):
         pass
     reg.count("c", 7)
-    clone = PerfRegistry.from_json(reg.to_json())
+    clone = PerfRegistry()
+    clone.merge(json.loads(reg.to_json()))
     assert clone.counters == {"c": 7}
     assert clone.timers["t"].count == 1
     assert clone.timers["t"].total == reg.timers["t"].total
@@ -101,8 +104,6 @@ def test_to_json_from_json_round_trip():
 def test_to_json_is_strict_json():
     """A zero-count timer's placeholder min is inf in a live registry;
     the wire format must still be strict JSON (no Infinity token)."""
-    import json
-
     reg = PerfRegistry()
     reg.merge({"timers": {"idle": {"count": 0, "total": 0.0,
                                    "min": float("inf"), "max": 0.0}},
@@ -125,18 +126,19 @@ def test_merge_ignores_zero_count_min_max():
 
 
 def test_report_renders_zero_count_timer():
-    reg = PerfRegistry.from_json(
+    reg = PerfRegistry()
+    reg.merge(json.loads(
         '{"counters": {}, "timers": {"idle": {"count": 0, "max": 0.0, '
         '"min": 0.0, "total": 0.0}}}'
-    )
+    ))
     text = reg.report()
     assert "idle" in text
     assert "inf" not in text and "nan" not in text
 
 
 def test_worker_snapshot_hand_off():
-    """The process-boundary pattern the service uses: a worker's delta
-    travels as JSON text and folds into the parent's registry."""
+    """A registry rendered as JSON text (what ``/metrics`` serves)
+    folds into another registry without losing counts or timers."""
     worker = PerfRegistry()
     with worker.timer("engine.solve"):
         pass
@@ -145,9 +147,34 @@ def test_worker_snapshot_hand_off():
 
     parent = PerfRegistry()
     parent.count("engine.items", 1)
-    parent.merge(PerfRegistry.from_json(wire).snapshot())
+    parent.merge(json.loads(wire))
     assert parent.counters["engine.items"] == 4
     assert parent.timers["engine.solve"].count == 1
+
+
+def test_concurrent_counts_are_not_lost():
+    """Threads sharing one registry (the service's thread pool, the job
+    worker threads) keep every increment.  A tiny switch interval makes
+    an unguarded get-then-set lose a large share of them."""
+    reg = PerfRegistry()
+    threads, per_thread = 4, 200_000
+
+    def hammer():
+        for _ in range(per_thread):
+            reg.count("x")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pool = [threading.Thread(target=hammer) for _ in range(threads)]
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in pool)
+    assert reg.counters["x"] == threads * per_thread
 
 
 def test_optimizer_records_telemetry(paper_session):

@@ -28,7 +28,7 @@ def free_ports(n):
 
 def fleet_config(port, peer_ports, tmp_path=None, name=None, **extra):
     peers = tuple("http://127.0.0.1:%d" % p for p in peer_ports)
-    kwargs = dict(port=port, executor="thread", workers=2,
+    kwargs = dict(port=port, workers=2,
                   cache_path=CACHE_PATH, peers=peers,
                   probe_interval_s=0.2)
     if tmp_path is not None:
@@ -307,7 +307,7 @@ def test_fleet_payload_reports_topology_and_health(pair):
 
 
 def test_fleet_disabled_payload_without_peers(paper_session):
-    config = ServiceConfig(port=0, executor="thread", workers=2,
+    config = ServiceConfig(port=0, workers=2,
                            cache_path=CACHE_PATH)
     with ServerThread(config, session=paper_session) as solo:
         with ServiceClient(port=solo.port) as client:
@@ -333,7 +333,7 @@ def test_fleet_metrics_aggregates_both_replicas(pair):
 
 
 def test_metrics_exposes_queue_depth_gauges(paper_session, tmp_path):
-    config = ServiceConfig(port=0, executor="thread", workers=2,
+    config = ServiceConfig(port=0, workers=2,
                            cache_path=CACHE_PATH,
                            jobs_path=str(tmp_path / "gauge-jobs.db"),
                            job_workers=0)

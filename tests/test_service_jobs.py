@@ -19,7 +19,7 @@ SPEC = {"capacities": [128], "flavors": ["lvt"], "methods": ["M1", "M2"]}
 @pytest.fixture(scope="module")
 def service(paper_session, tmp_path_factory):
     db_path = str(tmp_path_factory.mktemp("jobs") / "jobs.db")
-    config = ServiceConfig(port=0, executor="thread", workers=2,
+    config = ServiceConfig(port=0, workers=2,
                            max_wait_ms=5.0, cache_path=CACHE_PATH,
                            jobs_path=db_path, job_workers=1,
                            job_poll_ms=50.0)
@@ -64,7 +64,7 @@ def test_submit_reports_committed_state_when_a_worker_claims_first(
         paper_session, tmp_path):
     """The 202 reports the row the submit committed (``queued``) even
     when a job worker claims the job before the handler answers."""
-    config = ServiceConfig(port=0, executor="thread", workers=1,
+    config = ServiceConfig(port=0, workers=1,
                            cache_path=CACHE_PATH,
                            jobs_path=str(tmp_path / "jobs.db"),
                            job_workers=0)
@@ -163,7 +163,7 @@ def test_jobs_method_policy(client):
 
 
 def test_jobs_disabled_server_answers_404(paper_session):
-    config = ServiceConfig(port=0, executor="thread", workers=1,
+    config = ServiceConfig(port=0, workers=1,
                            cache_path=CACHE_PATH)
     with ServerThread(config, session=paper_session) as running:
         with ServiceClient(port=running.port) as c:
@@ -216,7 +216,7 @@ def test_request_id_attached_to_compute_responses(client):
 def test_client_retries_429_with_backoff(paper_session):
     """Against a zero-capacity server every attempt 429s; the client
     must sleep between attempts and surface the final 429."""
-    config = ServiceConfig(port=0, executor="thread", workers=1,
+    config = ServiceConfig(port=0, workers=1,
                            max_pending=0, cache_path=CACHE_PATH)
     with ServerThread(config, session=paper_session) as running:
         client = ServiceClient(port=running.port, max_retries=2,

@@ -27,8 +27,8 @@ from repro.service import ServerThread, ServiceClient, ServiceConfig
 
 @pytest.fixture(scope="module")
 def service(paper_session):
-    """One shared thread-executor server for the module."""
-    config = ServiceConfig(port=0, executor="thread", workers=2,
+    """One shared server for the module."""
+    config = ServiceConfig(port=0, workers=2,
                            max_wait_ms=5.0)
     with ServerThread(config, session=paper_session) as running:
         yield running
@@ -51,7 +51,8 @@ def counter_value(name):
 def test_healthz(client):
     health = client.healthz()
     assert health["status"] == "ok"
-    assert health["executor"] == "thread"
+    assert "executor" not in health
+    assert health["workers"] == 2
     assert health["uptime_seconds"] >= 0
 
 
@@ -227,7 +228,7 @@ def test_pareto_store_dedups_across_exponents(paper_session, tmp_path):
     # The stored front is exponent-free: two requests differing only in
     # the E^a D^b query run ONE sweep, and the server re-derives each
     # answer's best_weighted pick from the stored plain-data front.
-    config = ServiceConfig(port=0, executor="thread", workers=2,
+    config = ServiceConfig(port=0, workers=2,
                            max_wait_ms=5.0,
                            store_path=str(tmp_path / "store.db"))
     with ServerThread(config, session=paper_session) as running:
@@ -305,7 +306,7 @@ def test_yield_store_dedups_repeat_cells(paper_session, tmp_path):
     # re-running either search (the study-cell payload is
     # content-addressed like /v1/optimize and /v1/pareto).
     store_path = str(tmp_path / "store.db")
-    config = ServiceConfig(port=0, executor="thread", workers=2,
+    config = ServiceConfig(port=0, workers=2,
                            max_wait_ms=5.0, store_path=store_path)
     with ServerThread(config, session=paper_session) as running:
         with ServiceClient(port=running.port) as c:
@@ -351,7 +352,7 @@ def test_concurrent_identical_optimize_runs_engine_once(service):
 def test_coalesced_montecarlo_is_bit_identical_to_serial(paper_session):
     # A dedicated server with a generous batch window so the three
     # concurrent draws coalesce into one vectorized solve.
-    config = ServiceConfig(port=0, executor="thread", workers=2,
+    config = ServiceConfig(port=0, workers=2,
                            max_wait_ms=250.0, max_batch=8)
     specs = [(6, 11), (4, 7), (5, 0)]
     with ServerThread(config, session=paper_session) as running:
@@ -388,7 +389,7 @@ def test_same_group_optimize_requests_share_a_dispatch_bit_identically(
     # A dedicated server with a generous batch window, so both methods'
     # concurrent requests (one flavor/engine group) ride one dispatch
     # and are searched one policy at a time inside it.
-    config = ServiceConfig(port=0, executor="thread", workers=2,
+    config = ServiceConfig(port=0, workers=2,
                            max_wait_ms=250.0)
     with ServerThread(config, session=paper_session) as running:
         def call(method):
@@ -446,7 +447,7 @@ def test_montecarlo_summary_fields(client):
 # ---------------------------------------------------------------------------
 
 def test_backpressure_answers_429_with_retry_after(paper_session):
-    config = ServiceConfig(port=0, executor="thread", workers=1,
+    config = ServiceConfig(port=0, workers=1,
                            max_pending=0)
     with ServerThread(config, session=paper_session) as running:
         with ServiceClient(port=running.port) as c:
@@ -461,7 +462,7 @@ def test_backpressure_answers_429_with_retry_after(paper_session):
 
 
 def test_drained_server_refuses_connections(paper_session):
-    config = ServiceConfig(port=0, executor="thread", workers=1)
+    config = ServiceConfig(port=0, workers=1)
     with ServerThread(config, session=paper_session) as running:
         port = running.port
         with ServiceClient(port=port) as c:
@@ -496,10 +497,10 @@ def test_metrics_accounts_for_traffic(client):
     assert metrics["singleflight"]["flights"] >= 1
     assert metrics["batching"]["max_batch"] == 8
 
-    # Engine perf merged into the payload (thread executor records in
-    # the server process; "workers" holds process-pool deltas).
+    # Engine perf lands in the server registry; "workers" stays as an
+    # empty snapshot for scrapers that merge both keys.
     server_perf = metrics["perf"]["server"]
     assert server_perf["counters"].get("service.engine.optimize_searches",
                                        0) >= 1
     assert "service.job.optimize" in server_perf["timers"]
-    assert "counters" in metrics["perf"]["workers"]
+    assert metrics["perf"]["workers"] == {"counters": {}, "timers": {}}

@@ -20,7 +20,7 @@ PAYLOAD = {"edp": 1.0000000000000002e-21, "third": 1.0 / 3.0,
 
 
 def store_config(tmp_path, name, port=0):
-    return ServiceConfig(port=port, executor="thread", workers=2,
+    return ServiceConfig(port=port, workers=2,
                          cache_path=CACHE_PATH,
                          store_path=str(tmp_path / ("%s.db" % name)))
 
